@@ -26,7 +26,7 @@
 use crate::config::PagerankOptions;
 use crate::frontier::df_initial_affected;
 use crate::lf_common::{helping_mark_phase, rc_flags_len, run_lf_engine, LfMode, Phase1Fn, RcView};
-use crate::rank::{AtomicRanks, Flags};
+use crate::rank::{AtomicRanks, Flags, MarkBitmap};
 use crate::result::PagerankResult;
 use lfpr_graph::{BatchUpdate, NeighborRuns};
 use lfpr_sched::chunks::ChunkCursor;
@@ -44,7 +44,7 @@ pub fn df_lf<P: NeighborRuns, C: NeighborRuns>(
     let n = curr.num_vertices();
     let ranks = AtomicRanks::from_slice(prev_ranks);
     let rc = Flags::new(rc_flags_len(n, opts.convergence, opts.chunk_size), 0);
-    let va = Flags::new(n, 0);
+    let va = MarkBitmap::new(n);
     let checked = Flags::new(n, 0); // C[u] — batch source processed?
     let edges: Vec<(u32, u32)> = batch.iter_all().collect();
     let cursor = ChunkCursor::new(edges.len());

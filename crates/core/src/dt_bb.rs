@@ -41,7 +41,7 @@ pub fn dt_bb<P: NeighborRuns, C: NeighborRuns>(
         while let Some(range) = cursor.next_chunk(mark_chunk) {
             for &(u, _) in &edges[range.clone()] {
                 for &vp in prev.out(u).iter().chain(curr.out(u)) {
-                    dfs_mark_atomic(curr, vp, &va, &mut |_| {});
+                    dfs_mark_atomic(curr, vp, &|v| va.test_and_set(v), &mut |_| {});
                 }
                 if faults.tick() {
                     return false;

@@ -16,7 +16,7 @@
 use crate::config::PagerankOptions;
 use crate::frontier::{dfs_mark_atomic, dt_initial_affected};
 use crate::lf_common::{helping_mark_phase, rc_flags_len, run_lf_engine, LfMode, Phase1Fn, RcView};
-use crate::rank::{AtomicRanks, Flags};
+use crate::rank::{AtomicRanks, Flags, MarkBitmap};
 use crate::result::PagerankResult;
 use lfpr_graph::{BatchUpdate, NeighborRuns};
 use lfpr_sched::chunks::ChunkCursor;
@@ -34,7 +34,7 @@ pub fn dt_lf<P: NeighborRuns, C: NeighborRuns>(
     let n = curr.num_vertices();
     let ranks = AtomicRanks::from_slice(prev_ranks);
     let rc = Flags::new(rc_flags_len(n, opts.convergence, opts.chunk_size), 0);
-    let va = Flags::new(n, 0);
+    let va = MarkBitmap::new(n);
     let checked = Flags::new(n, 0);
     let edges: Vec<(u32, u32)> = batch.iter_all().collect();
     let cursor = ChunkCursor::new(edges.len());
@@ -44,7 +44,9 @@ pub fn dt_lf<P: NeighborRuns, C: NeighborRuns>(
     // graphs; newly affected vertices also need their ranks recomputed.
     let mark_source = |u: u32| {
         for &vp in prev.out(u).iter().chain(curr.out(u)) {
-            dfs_mark_atomic(curr, vp, &va, &mut |w| rc_view.set_vertex(w as usize));
+            dfs_mark_atomic(curr, vp, &|v| va.test_and_set(v), &mut |w| {
+                rc_view.set_vertex(w as usize)
+            });
         }
     };
     // Spread the (usually small) batch over the team instead of letting

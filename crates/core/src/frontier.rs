@@ -9,26 +9,28 @@
 //!   source marks everything reachable in Gt — the much larger affected
 //!   set whose traversal overhead is why the paper discards DT.
 
-use crate::rank::{FlagOps, Flags};
+use crate::rank::MarkBitmap;
 use lfpr_graph::{BatchUpdate, NeighborRuns};
 
 /// Iterative DFS over `g`'s out-edges from `start`, marking visited
-/// vertices in `va` (atomic test-and-set keeps concurrent traversals
-/// idempotent). Calls `on_new` for every newly marked vertex.
+/// vertices through `test_and_set` (an atomic test-and-set on the `VA`
+/// set, returning whether the vertex was already marked, keeps
+/// concurrent traversals idempotent). Calls `on_new` for every newly
+/// marked vertex.
 pub(crate) fn dfs_mark_atomic<G: NeighborRuns>(
     g: &G,
     start: u32,
-    va: &impl FlagOps,
+    test_and_set: &impl Fn(usize) -> bool,
     on_new: &mut impl FnMut(u32),
 ) {
-    if va.test_and_set(start as usize) {
+    if test_and_set(start as usize) {
         return;
     }
     on_new(start);
     let mut stack = vec![start];
     while let Some(u) = stack.pop() {
         for &v in g.out(u) {
-            if !va.test_and_set(v as usize) {
+            if !test_and_set(v as usize) {
                 on_new(v);
                 stack.push(v);
             }
@@ -63,11 +65,11 @@ pub fn dt_initial_affected<P: NeighborRuns, C: NeighborRuns>(
     batch: &BatchUpdate,
 ) -> usize {
     let n = curr.num_vertices();
-    let va = Flags::new(n, 0);
+    let va = MarkBitmap::new(n);
     let mut count = 0usize;
     for u in batch.sources() {
         for &vp in prev.out(u).iter().chain(curr.out(u)) {
-            dfs_mark_atomic(curr, vp, &va, &mut |_| count += 1);
+            dfs_mark_atomic(curr, vp, &|v| va.test_and_set(v), &mut |_| count += 1);
         }
     }
     count
@@ -99,9 +101,9 @@ mod tests {
     #[test]
     fn dfs_marks_reachable_set() {
         let g = chain();
-        let va = Flags::new(5, 0);
+        let va = MarkBitmap::new(5);
         let mut seen = Vec::new();
-        dfs_mark_atomic(&g, 2, &va, &mut |v| seen.push(v));
+        dfs_mark_atomic(&g, 2, &|v| va.test_and_set(v), &mut |v| seen.push(v));
         seen.sort_unstable();
         assert_eq!(seen, vec![2, 3, 4]);
         assert!(va.get(2) && va.get(3) && va.get(4));
@@ -111,10 +113,10 @@ mod tests {
     #[test]
     fn dfs_respects_prior_marks() {
         let g = chain();
-        let va = Flags::new(5, 0);
+        let va = MarkBitmap::new(5);
         va.set(3); // pretend another thread marked it (and its subtree)
         let mut seen = Vec::new();
-        dfs_mark_atomic(&g, 2, &va, &mut |v| seen.push(v));
+        dfs_mark_atomic(&g, 2, &|v| va.test_and_set(v), &mut |v| seen.push(v));
         assert_eq!(seen, vec![2]); // stops at the already-marked frontier
     }
 

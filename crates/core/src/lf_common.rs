@@ -22,15 +22,28 @@
 //! re-process them in their next round — the fault-tolerance argument of
 //! §4.4.
 //!
+//! **Sparse rounds.** The dynamic variants keep `VA` in a two-level
+//! [`MarkBitmap`]. Within a claimed chunk a round steps from one marked
+//! vertex to the next with `trailing_zeros`, re-reading the live words
+//! after every vertex, so a vertex marked ahead of the cursor is still
+//! processed in the same round — exactly the vertices, in exactly the
+//! order, that a test of every vertex's `VA` flag would visit, which
+//! keeps 1-thread runs bit-identical to that dense scan. The exit check
+//! reads `RC` only at marked vertices, because every vertex whose `RC`
+//! is set is marked (see `rc_clear_at_marked`). A round therefore
+//! costs O(marked vertices + marked words) plus one summary load per
+//! 4096 vertices, not O(n). Static/ND (`LfMode::All`) keep the dense
+//! loop and the full `RC` scan.
+//!
 //! **Lock-freedom:** the only shared-state operations on this path are
-//! atomic loads, stores, and `fetch_add` — every one of them completes in
-//! a bounded number of steps regardless of what other threads do, so
-//! system-wide progress is guaranteed as long as one thread keeps
-//! running.
+//! atomic loads, stores, `fetch_add` and `fetch_or` — every one of them
+//! completes in a bounded number of steps regardless of what other
+//! threads do, so system-wide progress is guaranteed as long as one
+//! thread keeps running.
 
 use crate::config::{ConvergenceMode, PagerankOptions};
 use crate::kernel::{rank_of_from_atomic_with, TeleportBase};
-use crate::rank::{AtomicRanks, FlagOps};
+use crate::rank::{AtomicRanks, FlagOps, MarkBitmap};
 use crate::result::{PagerankResult, RunStatus};
 use lfpr_graph::NeighborRuns;
 use lfpr_sched::chunks::ChunkCursor;
@@ -40,16 +53,25 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Which vertices each round processes (mirrors `bb_common::BbMode`).
-/// Generic over the flag representation so one-shot runs ([`crate::rank::Flags`])
-/// and reusable session workspaces ([`crate::rank::EpochFlags`]) share
-/// the engine.
-pub(crate) enum LfMode<'a, VA: FlagOps> {
+/// One-shot runs and reusable session workspaces pass the same
+/// [`MarkBitmap`] type for `VA`.
+pub(crate) enum LfMode<'a> {
     /// Every vertex (StaticLF, NDLF).
     All,
     /// Only `VA`-marked vertices; the set is fixed by phase 1 (DTLF).
-    Affected { va: &'a VA },
+    Affected { va: &'a MarkBitmap },
     /// `VA`-marked vertices with incremental frontier expansion (DFLF).
-    Frontier { va: &'a VA, tau_f: f64 },
+    Frontier { va: &'a MarkBitmap, tau_f: f64 },
+}
+
+impl LfMode<'_> {
+    /// The affected set, if rounds are restricted to one.
+    fn marked(&self) -> Option<&MarkBitmap> {
+        match self {
+            LfMode::All => None,
+            LfMode::Affected { va } | LfMode::Frontier { va, .. } => Some(va),
+        }
+    }
 }
 
 /// Number of convergence flags a vector must have for `n` vertices in
@@ -90,84 +112,6 @@ impl<'a, RC: FlagOps> RcView<'a, RC> {
     fn clear_vertex(&self, v: usize) {
         debug_assert!(matches!(self.mode, ConvergenceMode::PerVertex));
         self.flags.clear(v);
-    }
-}
-
-/// Granularity of the sparse-batch active filter: one flag covers this
-/// many consecutive vertex ids. Small enough that a localized affected
-/// ball dirties few granules, large enough that flag-checking overhead
-/// stays ≪ the skipped per-vertex scans.
-pub(crate) const ACTIVE_GRANULE: usize = 64;
-
-/// Sparse-batch accelerator: one flag per [`ACTIVE_GRANULE`]-vertex
-/// granule, set when the granule contains *any* affected vertex. Rounds
-/// walk claimed chunks granule-by-granule and skip clean granules
-/// without touching their per-vertex flags, and the convergence check
-/// filters through active granules before paying the authoritative full
-/// `RC` scan — per-round cost drops from `O(n)` to
-/// `O(n/granule + |active| · granule)`.
-///
-/// Value-neutral by construction: a skipped vertex is one the unfiltered
-/// engine would have `continue`d over (not `VA`-marked) and processing
-/// order is unchanged, so ranks are bit-identical to an unfiltered run
-/// at one thread. Every marking path sets the granule flag **before**
-/// the vertex flags; a stale-clear granule flag can therefore only
-/// delay processing by a round (the marker's `RC` bit keeps termination
-/// blocked via the authoritative scan), never lose it. Requires
-/// per-vertex convergence flags — the session enforces that.
-pub(crate) struct ActiveChunks<'a, F: FlagOps> {
-    flags: &'a F,
-    granule: usize,
-    n: usize,
-}
-
-impl<'a, F: FlagOps> ActiveChunks<'a, F> {
-    pub(crate) fn new(flags: &'a F, granule: usize, n: usize) -> Self {
-        debug_assert!(granule > 0);
-        ActiveChunks { flags, granule, n }
-    }
-
-    /// Mark the granule containing vertex `v` as active. Call **before**
-    /// setting the vertex's `VA`/`RC` flags.
-    #[inline]
-    pub(crate) fn mark_vertex(&self, v: usize) {
-        self.flags.set(v / self.granule);
-    }
-
-    /// The next maximal run of indices within `[pos, end)` that starts
-    /// at `pos`-or-later in an active granule. Clean granules in between
-    /// cost one flag load each.
-    #[inline]
-    fn next_active_segment(&self, mut pos: usize, end: usize) -> Option<(usize, usize)> {
-        while pos < end {
-            let g = pos / self.granule;
-            if self.flags.get(g) {
-                let hi = ((g + 1) * self.granule).min(end);
-                return Some((pos, hi));
-            }
-            pos = (g + 1) * self.granule;
-        }
-        None
-    }
-
-    /// Fast convergence filter: scan only active granules' `RC` ranges.
-    /// `false` is exact (a set flag was seen); `true` means "maybe
-    /// clear" and must be confirmed by the authoritative full scan.
-    fn rc_maybe_clear<RC: FlagOps>(&self, rc: &RC) -> bool {
-        let num = self.n.div_ceil(self.granule);
-        for g in 0..num {
-            if !self.flags.get(g) {
-                continue;
-            }
-            let lo = g * self.granule;
-            let hi = (lo + self.granule).min(self.n);
-            for v in lo..hi {
-                if rc.get_sync(v) {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -239,16 +183,16 @@ pub(crate) struct EngineStats {
 /// owns initialization:
 /// * `ranks` — 1/n (static) or previous ranks (dynamic),
 /// * `rc` — all ones for All mode; zeros + marking for Affected/Frontier.
-pub(crate) fn run_lf_engine<G: NeighborRuns, RC: FlagOps, VA: FlagOps>(
+pub(crate) fn run_lf_engine<G: NeighborRuns, RC: FlagOps>(
     g: &G,
     ranks: &AtomicRanks,
     rc: &RC,
-    mode: LfMode<'_, VA>,
+    mode: LfMode<'_>,
     opts: &PagerankOptions,
     phase1: Option<&Phase1Fn<'_>>,
 ) -> PagerankResult {
     let rounds = RoundCursors::new(opts.vertex_plan(g), opts.max_iterations);
-    let s = run_lf_engine_on::<G, RC, VA, RC>(g, ranks, rc, mode, opts, phase1, &rounds, None);
+    let s = run_lf_engine_on(g, ranks, rc, mode, opts, phase1, &rounds);
     PagerankResult {
         ranks: ranks.to_vec(),
         iterations: s.iterations,
@@ -262,27 +206,53 @@ pub(crate) fn run_lf_engine<G: NeighborRuns, RC: FlagOps, VA: FlagOps>(
     }
 }
 
+/// The sparse convergence check (Alg. 2 line 31) of the Affected and
+/// Frontier modes under per-vertex flags: is `RC[v]` clear at every
+/// marked `v`?
+///
+/// It is authoritative — it reports clear only where the full `SeqCst`
+/// scan of every `RC` flag would:
+/// * Every set `RC` bit lies at a marked vertex. Phase-1 marking sets
+///   `VA[v]` before `RC[v]`, the re-arm sets `RC` only for a processed
+///   (hence marked) vertex, and no bit of `VA` is cleared during a run.
+/// * A mark is seen whenever its `RC` store must be. The full scan is
+///   guaranteed to read an `RC` store only if the store happens-before
+///   the scan. The marker's summary and leaf updates are sequenced
+///   before its `RC` store (or are reads of an earlier marker's update,
+///   see [`MarkBitmap::test_and_set`]), so they happen-before the scan
+///   as well, and by coherence the scan's loads of those words return
+///   them or later values. The words only ever gain bits, so the scan
+///   finds the vertex and reads its `RC` store or a later one, exactly
+///   as the full scan would.
+///
+/// An `RC` store racing with the scan may be missed, as the full scan
+/// could miss it too; the thread that made it keeps running and checks
+/// again at the end of its own round.
+fn rc_clear_at_marked<RC: FlagOps>(va: &MarkBitmap, rc: &RC) -> bool {
+    let mut pos = 0;
+    while let Some(v) = va.next_set_sync(pos, va.len()) {
+        if rc.get_sync(v) {
+            return false;
+        }
+        pos = v + 1;
+    }
+    true
+}
+
 /// The lock-free engine proper, running over caller-owned round cursors
 /// (reset between runs by a persistent session) and returning stats
 /// only — the final ranks live in `ranks`, which the session exposes by
 /// reference instead of cloning out.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_lf_engine_on<G: NeighborRuns, RC: FlagOps, VA: FlagOps, AC: FlagOps>(
+pub(crate) fn run_lf_engine_on<G: NeighborRuns, RC: FlagOps>(
     g: &G,
     ranks: &AtomicRanks,
     rc: &RC,
-    mode: LfMode<'_, VA>,
+    mode: LfMode<'_>,
     opts: &PagerankOptions,
     phase1: Option<&Phase1Fn<'_>>,
     rounds: &RoundCursors,
-    active: Option<&ActiveChunks<'_, AC>>,
 ) -> EngineStats {
     debug_assert!(opts.validate().is_ok());
-    // The filter only makes sense when unaffected vertices are skipped.
-    let active = match mode {
-        LfMode::All => None,
-        _ => active,
-    };
     let nt = opts.num_threads;
     let processed = AtomicU64::new(0);
     let max_round = AtomicUsize::new(0);
@@ -290,6 +260,7 @@ pub(crate) fn run_lf_engine_on<G: NeighborRuns, RC: FlagOps, VA: FlagOps, AC: Fl
     let converged = AtomicBool::new(false);
     let rc_view = RcView::new(rc, opts.convergence, opts.chunk_size);
     let per_chunk = matches!(opts.convergence, ConvergenceMode::PerChunk);
+    let marked = mode.marked();
     // Teleport term precomputed once per run; `Uniform` yields the same
     // `(1.0 - alpha) / n` constant the kernels historically inlined.
     let base = TeleportBase::new(&opts.teleport, g.num_vertices(), opts.alpha);
@@ -316,83 +287,72 @@ pub(crate) fn run_lf_engine_on<G: NeighborRuns, RC: FlagOps, VA: FlagOps, AC: Fl
                 // plan to Fixed(chunk_size) there (flag alignment).
                 let chunk_idx = range.start / opts.chunk_size;
                 let mut chunk_converged = true;
-                // With an active filter, walk the chunk granule-by-
-                // granule, skipping granules with no affected vertices
-                // (their per-vertex flags would all read clear anyway).
                 let mut pos = range.start;
-                while pos < range.end {
-                    let (seg_lo, seg_hi) = match active {
-                        Some(a) => match a.next_active_segment(pos, range.end) {
-                            Some(seg) => seg,
+                loop {
+                    // Next vertex: each one in turn (All), or the next
+                    // marked one — unmarked vertices are trivially
+                    // converged. `next_set` re-reads the live words, so
+                    // a mark set ahead of the cursor counts.
+                    let v = match marked {
+                        None if pos < range.end => pos,
+                        None => break,
+                        Some(va) => match va.next_set(pos, range.end) {
+                            Some(v) => v,
                             None => break,
                         },
-                        None => (pos, range.end),
                     };
-                    pos = seg_hi;
-                    for v in seg_lo..seg_hi {
-                        let vid = v as u32;
-                        match &mode {
-                            LfMode::All => {}
-                            LfMode::Affected { va } | LfMode::Frontier { va, .. } => {
-                                if !va.get(v) {
-                                    continue; // unaffected ⇒ trivially converged
-                                }
+                    pos = v + 1;
+                    let vid = v as u32;
+                    let r = rank_of_from_atomic_with(g, ranks, vid, opts.alpha, &base);
+                    let dr = (r - ranks.get(v)).abs();
+                    ranks.set(v, r); // in-place, visible to all threads
+                    if let LfMode::Frontier { va, tau_f } = &mode {
+                        // Alg. 2 lines 25-27: expand the frontier.
+                        //
+                        // Deviation from line 28 (RC[v'] ← 1): setting RC
+                        // for every newly marked vertex makes each
+                        // frontier ring block the all-clear check for one
+                        // more round, so the run terminates only when
+                        // every first-processing Δr is ≤ τf — i.e. it
+                        // expands ring-by-ring to the graph boundary and
+                        // over-converges 1000× past τ, contradicting the
+                        // paper's own measured error (~5e-10) and
+                        // runtimes. We extend VA only; sub-τ wavelets
+                        // reaching new vertices are absorbed (that is the
+                        // DF approximation, same as DFBB terminating on
+                        // ΔR ≤ τ while VA still grows), while genuine
+                        // > τ waves keep RC alive through the Δr > τ
+                        // re-arm below and are never lost.
+                        if dr > *tau_f {
+                            for &vp in g.out(vid) {
+                                va.set(vp as usize);
                             }
                         }
-                        let r = rank_of_from_atomic_with(g, ranks, vid, opts.alpha, &base);
-                        let dr = (r - ranks.get(v)).abs();
-                        ranks.set(v, r); // in-place, visible to all threads
-                        if let LfMode::Frontier { va, tau_f } = &mode {
-                            // Alg. 2 lines 25-27: expand the frontier.
-                            //
-                            // Deviation from line 28 (RC[v'] ← 1): setting RC
-                            // for every newly marked vertex makes each
-                            // frontier ring block the all-clear check for one
-                            // more round, so the run terminates only when
-                            // every first-processing Δr is ≤ τf — i.e. it
-                            // expands ring-by-ring to the graph boundary and
-                            // over-converges 1000× past τ, contradicting the
-                            // paper's own measured error (~5e-10) and
-                            // runtimes. We extend VA only; sub-τ wavelets
-                            // reaching new vertices are absorbed (that is the
-                            // DF approximation, same as DFBB terminating on
-                            // ΔR ≤ τ while VA still grows), while genuine
-                            // > τ waves keep RC alive through the Δr > τ
-                            // re-arm below and are never lost.
-                            if dr > *tau_f {
-                                for &vp in g.out(vid) {
-                                    if let Some(a) = active {
-                                        a.mark_vertex(vp as usize);
-                                    }
-                                    va.set(vp as usize);
-                                }
-                            }
+                    }
+                    if per_chunk {
+                        if dr > opts.tolerance {
+                            chunk_converged = false;
                         }
-                        if per_chunk {
-                            if dr > opts.tolerance {
-                                chunk_converged = false;
-                            }
-                        } else if dr <= opts.tolerance {
-                            // Alg. 2 line 29: RC[v] ← 0.
-                            rc_view.clear_vertex(v);
-                        } else {
-                            // Re-arm: the pseudocode only ever clears RC, but
-                            // a cleared flag must be re-set when a later
-                            // round's Δr exceeds τ again (neighbor updates
-                            // arriving asynchronously) — otherwise threads
-                            // can terminate while ranks are still moving and
-                            // the error blows past the paper's ~5e-10 band.
-                            // RC[v] = 1 means "not yet converged" (§4.3), so
-                            // this is the definition, made explicit.
-                            rc_view.set_vertex(v);
-                        }
-                        local_processed += 1;
-                        if faults.tick() {
-                            crashed_count.fetch_add(1, Ordering::Relaxed);
-                            processed.fetch_add(local_processed, Ordering::Relaxed);
-                            max_round.fetch_max(round, Ordering::Relaxed);
-                            return; // crash-stop: clean exit, memory intact
-                        }
+                    } else if dr <= opts.tolerance {
+                        // Alg. 2 line 29: RC[v] ← 0.
+                        rc_view.clear_vertex(v);
+                    } else {
+                        // Re-arm: the pseudocode only ever clears RC, but
+                        // a cleared flag must be re-set when a later
+                        // round's Δr exceeds τ again (neighbor updates
+                        // arriving asynchronously) — otherwise threads
+                        // can terminate while ranks are still moving and
+                        // the error blows past the paper's ~5e-10 band.
+                        // RC[v] = 1 means "not yet converged" (§4.3), so
+                        // this is the definition, made explicit.
+                        rc_view.set_vertex(v);
+                    }
+                    local_processed += 1;
+                    if faults.tick() {
+                        crashed_count.fetch_add(1, Ordering::Relaxed);
+                        processed.fetch_add(local_processed, Ordering::Relaxed);
+                        max_round.fetch_max(round, Ordering::Relaxed);
+                        return; // crash-stop: clean exit, memory intact
                     }
                 }
                 if per_chunk {
@@ -409,11 +369,14 @@ pub(crate) fn run_lf_engine_on<G: NeighborRuns, RC: FlagOps, VA: FlagOps, AC: Fl
             // thread decides from its own observation only — exiting on
             // *another* thread's observation would let a thread skip the
             // repair round after an in-flight update re-armed a flag.
-            // With an active-chunk filter, the cheap active-only scan
-            // rejects non-converged rounds without paying the O(n) walk;
-            // the authoritative full scan still gates actual exit.
-            let maybe_clear = active.is_none_or(|a| a.rc_maybe_clear(rc));
-            if maybe_clear && rc.all_clear() {
+            // Per-vertex flags of a marked run are read at marked
+            // vertices only; per-chunk flags (n / chunk of them) and the
+            // All modes scan every flag.
+            let all_clear = match marked {
+                Some(va) if !per_chunk => rc_clear_at_marked(va, rc),
+                _ => rc.all_clear(),
+            };
+            if all_clear {
                 converged.store(true, Ordering::SeqCst);
                 break 'rounds;
             }
@@ -476,7 +439,7 @@ mod tests {
         let g = ring(64);
         let ranks = AtomicRanks::uniform(64, 1.0 / 64.0);
         let rc = Flags::new(64, 1);
-        let res = run_lf_engine(&g, &ranks, &rc, LfMode::<Flags>::All, &opts(), None);
+        let res = run_lf_engine(&g, &ranks, &rc, LfMode::All, &opts(), None);
         assert_eq!(res.status, RunStatus::Converged);
         let reference = reference_default(&g);
         assert!(
@@ -493,7 +456,7 @@ mod tests {
         let o = opts().with_convergence(ConvergenceMode::PerChunk);
         let ranks = AtomicRanks::uniform(64, 1.0 / 64.0);
         let rc = Flags::new(rc_flags_len(64, o.convergence, o.chunk_size), 1);
-        let res = run_lf_engine(&g, &ranks, &rc, LfMode::<Flags>::All, &o, None);
+        let res = run_lf_engine(&g, &ranks, &rc, LfMode::All, &o, None);
         assert_eq!(res.status, RunStatus::Converged);
         let reference = reference_default(&g);
         assert!(linf_diff(&res.ranks, &reference) < 1e-8);
@@ -512,7 +475,7 @@ mod tests {
             .with_faults(FaultPlan::with_crashes(2, 50, 7));
         let ranks = AtomicRanks::uniform(n, 1.0 / n as f64);
         let rc = Flags::new(n, 1);
-        let res = run_lf_engine(&g, &ranks, &rc, LfMode::<Flags>::All, &o, None);
+        let res = run_lf_engine(&g, &ranks, &rc, LfMode::All, &o, None);
         assert_eq!(
             res.status,
             RunStatus::Converged,
@@ -529,7 +492,7 @@ mod tests {
         let o = opts().with_faults(FaultPlan::with_crashes(4, 5, 9));
         let ranks = AtomicRanks::uniform(128, 1.0 / 128.0);
         let rc = Flags::new(128, 1);
-        let res = run_lf_engine(&g, &ranks, &rc, LfMode::<Flags>::All, &o, None);
+        let res = run_lf_engine(&g, &ranks, &rc, LfMode::All, &o, None);
         assert_eq!(res.status, RunStatus::Stalled);
         assert_eq!(res.threads_crashed, 4);
     }
@@ -577,7 +540,7 @@ mod tests {
                 let o = opts().with_schedule(Schedule { policy, executor });
                 let ranks = AtomicRanks::uniform(512, 1.0 / 512.0);
                 let rc = Flags::new(512, 1);
-                let res = run_lf_engine(&g, &ranks, &rc, LfMode::<Flags>::All, &o, None);
+                let res = run_lf_engine(&g, &ranks, &rc, LfMode::All, &o, None);
                 assert_eq!(res.status, RunStatus::Converged, "{policy} {executor}");
                 let err = linf_diff(&res.ranks, &reference);
                 assert!(err < 1e-8, "{policy} {executor}: err = {err}");
@@ -598,7 +561,7 @@ mod tests {
             .with_faults(FaultPlan::with_crashes(2, 50, 7));
         let ranks = AtomicRanks::uniform(n, 1.0 / n as f64);
         let rc = Flags::new(n, 1);
-        let res = run_lf_engine(&g, &ranks, &rc, LfMode::<Flags>::All, &o, None);
+        let res = run_lf_engine(&g, &ranks, &rc, LfMode::All, &o, None);
         assert_eq!(res.status, RunStatus::Converged);
         assert_eq!(res.threads_crashed, 2);
         assert!(linf_diff(&res.ranks, &reference_default(&g)) < 1e-8);
@@ -610,7 +573,7 @@ mod tests {
         let init = reference_default(&g);
         let ranks = AtomicRanks::from_slice(&init);
         let rc = Flags::new(32, 0);
-        let va = Flags::new(32, 0);
+        let va = MarkBitmap::new(32);
         let res = run_lf_engine(&g, &ranks, &rc, LfMode::Affected { va: &va }, &opts(), None);
         assert_eq!(res.status, RunStatus::Converged);
         assert_eq!(res.vertices_processed, 0);

@@ -30,7 +30,7 @@ pub fn nd_lf<G: NeighborRuns>(
     let n = curr.num_vertices();
     let ranks = AtomicRanks::from_slice(prev_ranks);
     let rc = Flags::new(rc_flags_len(n, opts.convergence, opts.chunk_size), 1);
-    run_lf_engine(curr, &ranks, &rc, LfMode::<Flags>::All, opts, None)
+    run_lf_engine(curr, &ranks, &rc, LfMode::All, opts, None)
 }
 
 #[cfg(test)]

@@ -21,6 +21,12 @@
 //! the whole vector between batches in O(1) (one epoch bump) instead of
 //! an O(n) wipe. The [`FlagOps`] trait lets the lock-free engine run on
 //! either representation.
+//!
+//! [`MarkBitmap`] holds the dynamic variants' `VA` (affected) set: a
+//! leaf bit per vertex plus a summary bit per 64-vertex leaf word, so
+//! the engine steps from one marked vertex to the next with
+//! `trailing_zeros` instead of testing every vertex, and a reusable
+//! workspace clears it by zeroing only the words that were marked.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
@@ -135,8 +141,6 @@ pub trait FlagOps: Sync {
     fn set(&self, i: usize);
     /// Clear flag `i`.
     fn clear(&self, i: usize);
-    /// Atomically set flag `i`, returning whether it was already set.
-    fn test_and_set(&self, i: usize) -> bool;
     /// Read flag `i` with `SeqCst` ordering (termination scans).
     fn get_sync(&self, i: usize) -> bool;
     /// `SeqCst` scan: are **all** flags clear? (The LF convergence
@@ -156,10 +160,6 @@ impl FlagOps for Flags {
     #[inline]
     fn clear(&self, i: usize) {
         Flags::clear(self, i)
-    }
-    #[inline]
-    fn test_and_set(&self, i: usize) -> bool {
-        Flags::test_and_set(self, i)
     }
     #[inline]
     fn get_sync(&self, i: usize) -> bool {
@@ -257,10 +257,6 @@ impl FlagOps for EpochFlags {
         self.stamps[i].store(0, Ordering::Relaxed);
     }
     #[inline]
-    fn test_and_set(&self, i: usize) -> bool {
-        self.stamps[i].swap(self.epoch, Ordering::Relaxed) == self.epoch
-    }
-    #[inline]
     fn get_sync(&self, i: usize) -> bool {
         self.stamps[i].load(Ordering::SeqCst) == self.epoch
     }
@@ -268,6 +264,173 @@ impl FlagOps for EpochFlags {
         self.stamps
             .iter()
             .all(|s| s.load(Ordering::SeqCst) != self.epoch)
+    }
+}
+
+/// Bits per bitmap word: one leaf word covers this many vertices, one
+/// summary word this many leaf words.
+const WORD: usize = 64;
+
+/// A two-level atomic bitmap: the `VA` (affected) set of the DF/DT
+/// lock-free variants.
+///
+/// Bit `v % 64` of leaf word `v / 64` marks vertex `v`; bit `w % 64` of
+/// summary word `w / 64` is set once leaf word `w` holds a mark. Marking
+/// sets the summary bit **before** the leaf bit, so every nonzero leaf
+/// word always has its summary bit set: [`next_set`](Self::next_set)
+/// skips 4096-vertex spans with one summary load and 64-vertex spans
+/// with one leaf load, and [`clear`](Self::clear) visits only marked
+/// words. Bits are only ever set while threads run (never cleared), so a
+/// bit once observed stays observed for the rest of the run.
+#[derive(Debug)]
+pub struct MarkBitmap {
+    len: usize,
+    leaves: Vec<AtomicU64>,
+    summary: Vec<AtomicU64>,
+}
+
+impl MarkBitmap {
+    /// `n` clear bits.
+    pub fn new(n: usize) -> Self {
+        let words = n.div_ceil(WORD);
+        MarkBitmap {
+            len: n,
+            leaves: (0..words).map(|_| AtomicU64::new(0)).collect(),
+            summary: (0..words.div_ceil(WORD))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+        }
+    }
+
+    /// Number of bits.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the bitmap has no bits.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Read bit `v`.
+    #[inline]
+    pub fn get(&self, v: usize) -> bool {
+        debug_assert!(v < self.len);
+        self.leaves[v / WORD].load(Ordering::Relaxed) & (1 << (v % WORD)) != 0
+    }
+
+    /// Set bit `v`.
+    #[inline]
+    pub fn set(&self, v: usize) {
+        self.test_and_set(v);
+    }
+
+    /// Atomically set bit `v`, returning whether it was already set
+    /// (the visited check of the Dynamic Traversal DFS).
+    ///
+    /// Summary bit first, then leaf bit, both as `SeqCst`
+    /// read-modify-writes. Each is skipped when a load already shows the
+    /// bit: another marker set it, and by read-read coherence any thread
+    /// this marker later synchronizes with reads that bit too. Repeat
+    /// marks of a vertex, the common case on the frontier, therefore cost
+    /// two loads and no locked instruction.
+    #[inline]
+    pub fn test_and_set(&self, v: usize) -> bool {
+        debug_assert!(v < self.len);
+        let w = v / WORD;
+        let s = &self.summary[w / WORD];
+        let sbit = 1 << (w % WORD);
+        if s.load(Ordering::Relaxed) & sbit == 0 {
+            s.fetch_or(sbit, Ordering::SeqCst);
+        }
+        let leaf = &self.leaves[w];
+        let bit = 1 << (v % WORD);
+        if leaf.load(Ordering::Relaxed) & bit != 0 {
+            return true;
+        }
+        leaf.fetch_or(bit, Ordering::SeqCst) & bit != 0
+    }
+
+    /// The first set bit in `[from, end)`, reading the live words
+    /// (`Relaxed`), so a bit set ahead of a walking cursor is found when
+    /// the cursor reaches it.
+    #[inline]
+    pub fn next_set(&self, from: usize, end: usize) -> Option<usize> {
+        self.next_set_with(from, end, Ordering::Relaxed)
+    }
+
+    /// [`next_set`](Self::next_set) with `SeqCst` loads (termination
+    /// scans).
+    #[inline]
+    pub fn next_set_sync(&self, from: usize, end: usize) -> Option<usize> {
+        self.next_set_with(from, end, Ordering::SeqCst)
+    }
+
+    #[inline]
+    fn next_set_with(&self, from: usize, end: usize, order: Ordering) -> Option<usize> {
+        let end = end.min(self.len);
+        let mut v = from;
+        while v < end {
+            let w = v / WORD;
+            // Marked leaf words at or after `w` within w's summary word.
+            let marked = self.summary[w / WORD].load(order) >> (w % WORD);
+            if marked == 0 {
+                v = (w / WORD + 1) * WORD * WORD;
+                continue;
+            }
+            let skip = marked.trailing_zeros() as usize;
+            if skip > 0 {
+                v = (w + skip) * WORD;
+                continue;
+            }
+            let bits = self.leaves[w].load(order) >> (v % WORD);
+            if bits != 0 {
+                let u = v + bits.trailing_zeros() as usize;
+                return (u < end).then_some(u);
+            }
+            v = (w + 1) * WORD;
+        }
+        None
+    }
+
+    /// Every set bit, ascending (`Relaxed`; exclusive or post-run use).
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut pos = 0;
+        std::iter::from_fn(move || {
+            let v = self.next_set(pos, self.len)?;
+            pos = v + 1;
+            Some(v)
+        })
+    }
+
+    /// Clear every bit (exclusive). Touches only the leaf words whose
+    /// summary bit is set, plus one load per 4096-bit summary word, and
+    /// returns the number of leaf words it visited.
+    pub fn clear(&mut self) -> usize {
+        let mut visited = 0;
+        for (si, s) in self.summary.iter_mut().enumerate() {
+            let mut marked = std::mem::take(s.get_mut());
+            while marked != 0 {
+                let w = si * WORD + marked.trailing_zeros() as usize;
+                *self.leaves[w].get_mut() = 0;
+                visited += 1;
+                marked &= marked - 1;
+            }
+        }
+        visited
+    }
+
+    /// Resize to `n` bits, all clear (reallocates only when growing past
+    /// the previous capacity).
+    pub fn resize(&mut self, n: usize) {
+        self.clear();
+        let words = n.div_ceil(WORD);
+        self.leaves.resize_with(words, || AtomicU64::new(0));
+        self.summary
+            .resize_with(words.div_ceil(WORD), || AtomicU64::new(0));
+        self.len = n;
     }
 }
 
@@ -449,8 +612,7 @@ mod tests {
         assert!(e.get(2) && !e.get(0));
         assert!(!e.all_clear());
         assert_eq!(e.count_set(), 1);
-        assert!(e.test_and_set(2), "already set");
-        assert!(!e.test_and_set(3), "was clear");
+        e.set(3);
         e.clear(2);
         assert!(!e.get(2));
         assert!(e.get(3));
@@ -495,6 +657,121 @@ mod tests {
         }
         drive(&Flags::new(3, 0));
         drive(&EpochFlags::new(3));
+    }
+
+    /// Every set bit by testing each index (the dense oracle).
+    fn dense_marks(m: &MarkBitmap) -> Vec<usize> {
+        (0..m.len()).filter(|&v| m.get(v)).collect()
+    }
+
+    #[test]
+    fn mark_bitmap_next_set_crosses_leaf_and_summary_boundaries() {
+        // Two full summary words plus a partial last leaf word.
+        let n = 2 * 4096 + 37;
+        let mut m = MarkBitmap::new(n);
+        assert_eq!((m.len(), m.is_empty()), (n, false));
+        assert_eq!(m.next_set(0, n), None, "empty map");
+        let marks = [0, 63, 64, 127, 4095, 4096, 4097, 8191, 8192, n - 1];
+        for &v in &marks {
+            m.set(v);
+        }
+        assert_eq!(m.iter().collect::<Vec<_>>(), marks);
+        assert_eq!(dense_marks(&m), marks);
+        // Each successor from every start position, against the oracle.
+        for from in 0..=n {
+            let expect = marks.iter().copied().find(|&v| v >= from);
+            assert_eq!(m.next_set(from, n), expect, "from {from}");
+            assert_eq!(m.next_set_sync(from, n), expect, "from {from}");
+        }
+        // The end bound is exclusive, including mid-word and at 4096.
+        assert_eq!(m.next_set(1, 63), None);
+        assert_eq!(m.next_set(1, 64), Some(63));
+        assert_eq!(m.next_set(128, 4095), None);
+        assert_eq!(m.next_set(128, 4096), Some(4095));
+        assert_eq!(m.next_set(4098, 8191), None);
+        assert_eq!(m.next_set(8193, n), Some(n - 1));
+        assert_eq!(m.next_set(8193, n - 1), None);
+        // `end` past the length is clamped; `from` past it finds nothing.
+        assert_eq!(m.next_set(n - 1, n + 500), Some(n - 1));
+        assert_eq!(m.next_set(n + 3, n + 500), None);
+        m.clear();
+        assert_eq!(m.next_set(0, n), None);
+        let empty = MarkBitmap::new(0);
+        assert!(empty.is_empty());
+        assert_eq!(empty.next_set(0, 10), None);
+        assert_eq!(empty.iter().count(), 0);
+    }
+
+    #[test]
+    fn mark_bitmap_clear_touches_only_marked_words() {
+        let n = 3 * 4096 + 5;
+        let mut m = MarkBitmap::new(n);
+        assert!(!m.test_and_set(70), "first set reports previously-clear");
+        assert!(m.test_and_set(70), "second set reports previously-set");
+        assert!(m.get(70) && !m.get(69) && !m.get(71));
+        for v in [71, 127, 5000, 5001, n - 1] {
+            m.set(v);
+        }
+        // Marked leaf words: 70/71/127 share word 1; 5000/5001 share
+        // word 78; n - 1 sits alone in the last word.
+        assert_eq!(m.clear(), 3);
+        assert!(dense_marks(&m).is_empty());
+        assert_eq!(m.clear(), 0, "a clear map has no marked words");
+        // Usable again after the clear, and resizing keeps it clear.
+        m.set(4096);
+        m.resize(n + 4096);
+        assert_eq!(m.len(), n + 4096);
+        assert!(dense_marks(&m).is_empty());
+        m.set(n + 4095);
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![n + 4095]);
+    }
+
+    #[test]
+    fn mark_bitmap_walk_sees_a_mark_set_ahead_of_the_cursor() {
+        // The engine's round loop: marks placed ahead of the cursor while
+        // walking (same word, later word, later summary word) are found.
+        let m = MarkBitmap::new(10_000);
+        m.set(3);
+        let mut seen = Vec::new();
+        let mut pos = 0;
+        while let Some(v) = m.next_set(pos, 10_000) {
+            seen.push(v);
+            if v == 3 {
+                m.set(9);
+                m.set(700);
+                m.set(2); // behind the cursor: not this walk's business
+            }
+            if v == 700 {
+                m.set(9_999);
+            }
+            pos = v + 1;
+        }
+        assert_eq!(seen, vec![3, 9, 700, 9_999]);
+    }
+
+    #[test]
+    fn mark_bitmap_concurrent_marks_are_all_seen() {
+        // Four threads mark overlapping vertex sets; a walk after they
+        // join sees the union, and each vertex reads fresh exactly once.
+        let n = 50_000;
+        let marks = |t: usize, v: usize| v % 5 == t || v % 7 == t + 1;
+        let m = MarkBitmap::new(n);
+        let fresh = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (m, fresh) = (&m, &fresh);
+                s.spawn(move || {
+                    for v in (0..n).filter(|&v| marks(t, v)) {
+                        if !m.test_and_set(v) {
+                            fresh.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        let expect: Vec<usize> = (0..n).filter(|&v| (0..4).any(|t| marks(t, v))).collect();
+        assert_eq!(m.iter().collect::<Vec<_>>(), expect);
+        assert_eq!(fresh.load(Ordering::Relaxed) as usize, expect.len());
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! it owns the evolving [`DynGraph`], keeps the graph's CSR snapshot
 //! coherent across batches (patched incrementally via
 //! [`Snapshot::apply_batch_into`], never rebuilt), and reuses one
-//! workspace — the shared [`AtomicRanks`] vector, the `VA`/`RC`/`C` flag
+//! workspace — the shared [`AtomicRanks`] vector, the `RC`/`C` flag
 //! vectors ([`EpochFlags`]: cleared per batch by an O(1) epoch bump),
-//! the batch-edge scratch, and the precompiled round cursors — across
-//! every [`step`](UpdateSession::step).
+//! the `VA` affected set ([`MarkBitmap`]: cleared per pass by zeroing
+//! only its marked words), the batch-edge scratch, and the precompiled
+//! round cursors — across every [`step`](UpdateSession::step).
 //!
 //! Why it matters: the one-shot path pays `O(n + m)` per batch no matter
 //! how small `|Δ|` is — `DynGraph::snapshot()` rebuilds both CSRs plus
@@ -22,6 +23,13 @@
 //! buffers are recycled as the next patch destination, and the final
 //! ranks are exposed by reference ([`ranks`](UpdateSession::ranks))
 //! instead of a terminal `to_vec`.
+//!
+//! A DF/DT step also *finds* its work in time proportional to the
+//! change: engine rounds walk the marked words of the `VA` bitmap
+//! instead of testing all n vertices, the convergence check reads `RC`
+//! at marked vertices only, and delta tracking diffs only the marked
+//! vertices against a persistent per-ranking shadow of the previous
+//! epoch (see `lf_common` for the round and exit-check argument).
 //!
 //! All eight algorithm variants work; the four barrier-based ones
 //! delegate to [`api::run_dynamic`] (they are synchronous baselines and
@@ -48,10 +56,9 @@ use crate::api::{self, Algorithm};
 use crate::config::{PagerankOptions, Teleport};
 use crate::frontier::dfs_mark_atomic;
 use crate::lf_common::{
-    helping_mark_phase, rc_flags_len, run_lf_engine_on, ActiveChunks, EngineStats, LfMode,
-    Phase1Fn, RcView, ACTIVE_GRANULE,
+    helping_mark_phase, rc_flags_len, run_lf_engine_on, EngineStats, LfMode, Phase1Fn, RcView,
 };
-use crate::rank::{AtomicRanks, EpochFlags, FlagOps};
+use crate::rank::{AtomicRanks, EpochFlags, MarkBitmap};
 use crate::result::RunStatus;
 use lfpr_graph::types::Result as GraphResult;
 use lfpr_graph::{
@@ -113,19 +120,44 @@ impl RankDelta {
     }
 }
 
-/// Vertices whose ranks are bit-different between `old` and `new`.
-fn deltas_of(old: &[f64], new: &[f64]) -> Arc<[RankDelta]> {
+/// Vertices whose ranks are bit-different between `shadow` (the previous
+/// epoch's ranks) and `ranks`, ascending; `shadow` is brought up to date
+/// as a side effect. With `marked`, only those vertices are compared —
+/// sound for a DF/DT pass, which writes no rank outside its `VA` set.
+fn diff_into_shadow(
+    shadow: &mut [f64],
+    ranks: &[f64],
+    marked: Option<&MarkBitmap>,
+) -> Arc<[RankDelta]> {
     let mut out = Vec::new();
-    for (v, (&o, &nw)) in old.iter().zip(new).enumerate() {
-        if o.to_bits() != nw.to_bits() {
+    let mut visit = |v: usize| {
+        let (old, new) = (shadow[v], ranks[v]);
+        if old.to_bits() != new.to_bits() {
             out.push(RankDelta {
                 vertex: v as u32,
-                old: o,
-                new: nw,
+                old,
+                new,
             });
+            shadow[v] = new;
         }
+    };
+    match marked {
+        Some(va) => va.iter().for_each(&mut visit),
+        None => (0..ranks.len()).for_each(&mut visit),
     }
     out.into()
+}
+
+/// Make `shadow` a copy of `ranks` unless it already mirrors a vector of
+/// the same length — the previous epoch, kept current by
+/// [`diff_into_shadow`]. The full copy runs only when tracking starts
+/// (first tracked step, a new or restored view, a restored session) or
+/// the vertex set grew.
+fn sync_shadow(shadow: &mut Vec<f64>, ranks: &[f64]) {
+    if shadow.len() != ranks.len() {
+        shadow.clear();
+        shadow.extend_from_slice(ranks);
+    }
 }
 
 /// Top-`k` deltas by |change| descending, ties by vertex id ascending.
@@ -300,7 +332,7 @@ impl RankReader {
     }
 }
 
-/// Shared `O(n + k log k)` partial top-k selection (session + views).
+/// Shared top-k selection (session + views).
 fn top_k_of(ranks: &[f64], k: usize) -> Vec<(u32, f64)> {
     top_k_range_of(ranks, k, 0..ranks.len() as u32)
 }
@@ -311,23 +343,58 @@ fn top_k_of(ranks: &[f64], k: usize) -> Vec<(u32, f64)> {
 fn top_k_range_of(ranks: &[f64], k: usize, range: std::ops::Range<u32>) -> Vec<(u32, f64)> {
     let hi = (ranks.len() as u32).min(range.end);
     let lo = range.start.min(hi);
-    let k = k.min((hi - lo) as usize);
-    if k == 0 {
-        return Vec::new();
-    }
-    let cmp = |a: &u32, b: &u32| {
-        ranks[*b as usize]
-            .partial_cmp(&ranks[*a as usize])
+    top_k_ascending(k, (lo..hi).map(|v| (v, ranks[v as usize])))
+}
+
+/// A top-k candidate ordered best-first: rank descending, then id
+/// ascending (the order every top-k list in the crate uses).
+#[derive(PartialEq)]
+struct Ranked(u32, f64);
+
+impl Eq for Ranked {}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .1
+            .partial_cmp(&self.1)
             .unwrap()
-            .then(a.cmp(b))
-    };
-    let mut idx: Vec<u32> = (lo..hi).collect();
-    if k < idx.len() {
-        idx.select_nth_unstable_by(k - 1, cmp);
-        idx.truncate(k);
+            .then(self.0.cmp(&other.0))
     }
-    idx.sort_unstable_by(cmp);
-    idx.into_iter().map(|v| (v, ranks[v as usize])).collect()
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The `k` best `(id, rank)` pairs — rank descending, ties by id — of a
+/// sequence whose ids **ascend**, in one pass without materializing it.
+///
+/// A max-heap keeps the worst of the best `k` on top. Because ids
+/// ascend, a newcomer whose rank equals the current k-th would lose the
+/// id tie-break, so only a strictly higher rank displaces it, and the
+/// result equals sorting the whole sequence and keeping `k`. Past the
+/// first `k` items, an item costs one comparison unless it enters the
+/// list (`O(n + m log k)` for `m` entries).
+pub fn top_k_ascending(k: usize, items: impl IntoIterator<Item = (u32, f64)>) -> Vec<(u32, f64)> {
+    let mut items = items.into_iter();
+    let mut best: std::collections::BinaryHeap<Ranked> =
+        items.by_ref().take(k).map(|(v, r)| Ranked(v, r)).collect();
+    // Fewer than k items leave `items` drained, so the loop is a no-op.
+    if let Some(mut kth) = best.peek().map(|w| w.1) {
+        for (v, r) in items {
+            if r > kth {
+                *best.peek_mut().expect("k > 0") = Ranked(v, r);
+                kth = best.peek().expect("k > 0").1;
+            }
+        }
+    }
+    best.into_sorted_vec()
+        .into_iter()
+        .map(|Ranked(v, r)| (v, r))
+        .collect()
 }
 
 /// Reusable per-session buffers — allocated once, recycled every batch.
@@ -335,22 +402,33 @@ struct Workspace {
     /// Shared in-place rank vector; the previous step's output is the
     /// next step's warm start, with no copy in between.
     ranks: AtomicRanks,
-    /// `VA` (affected) flags, epoch-cleared per batch.
-    va: EpochFlags,
+    /// `VA` (affected) set of the DF/DT passes, cleared at the start of
+    /// each pass and read after it by delta tracking.
+    va: MarkBitmap,
     /// `RC` (not-yet-converged) flags, epoch-cleared per batch.
     rc: EpochFlags,
     /// `C` (batch-source checked) flags for the helping phase 1.
     checked: EpochFlags,
     /// Flattened batch edges (phase-1 work list).
     edges: Vec<(u32, u32)>,
-    /// One flag per [`ACTIVE_GRANULE`]-vertex granule: set iff the
-    /// granule holds an affected vertex. Lets DF/DT rounds skip the
-    /// per-vertex scan of untouched index ranges (per-round cost ∝
-    /// affected set, not n).
-    active: EpochFlags,
     /// Per-round chunk cursors over the precompiled vertex plan,
     /// rewound (not reallocated) between steps.
     rounds: Option<RoundCursors>,
+}
+
+impl Workspace {
+    /// A fresh workspace warm-started from `ranks`.
+    fn new(ranks: &[f64], opts: &PagerankOptions) -> Self {
+        let n = ranks.len();
+        Workspace {
+            ranks: AtomicRanks::from_slice(ranks),
+            va: MarkBitmap::new(n),
+            rc: EpochFlags::new(rc_flags_len(n, opts.convergence, opts.chunk_size)),
+            checked: EpochFlags::new(n),
+            edges: Vec::new(),
+            rounds: None,
+        }
+    }
 }
 
 /// A named ranking maintained alongside the default one: same graph,
@@ -367,6 +445,8 @@ struct SecondaryView {
     opts: PagerankOptions,
     /// The view's in-place rank vector (its own warm start).
     ranks: AtomicRanks,
+    /// The view's ranks at the previous epoch (delta tracking only).
+    shadow: Vec<f64>,
     /// Rank movements of the most recent step (when tracking is on).
     deltas: Arc<[RankDelta]>,
 }
@@ -419,9 +499,11 @@ pub struct UpdateSession {
     /// publication then allocates nothing.
     spare_ranks: Option<Arc<[f64]>>,
     /// Whether steps record per-vertex rank deltas (off by default —
-    /// tracking costs one O(n) shadow copy + diff per pass).
+    /// tracking keeps an n-entry shadow per ranking and diffs it after
+    /// every pass).
     track_deltas: bool,
-    /// Pre-step rank shadow used to diff deltas (reused across passes).
+    /// The default ranking at the previous epoch, diffed against after
+    /// each pass (marked vertices only after a DF/DT pass).
     shadow: Vec<f64>,
     /// Rank movements of the most recent step (empty when tracking is
     /// off or no step ran yet).
@@ -486,16 +568,7 @@ impl UpdateSession {
             Algorithm::StaticBB
         };
         let initial = api::run_static(static_algo, &snapshot, &opts);
-        let n = snapshot.num_vertices();
-        let ws = Workspace {
-            ranks: AtomicRanks::from_slice(&initial.ranks),
-            va: EpochFlags::new(n),
-            rc: EpochFlags::new(rc_flags_len(n, opts.convergence, opts.chunk_size)),
-            checked: EpochFlags::new(n),
-            edges: Vec::new(),
-            active: EpochFlags::new(n.div_ceil(ACTIVE_GRANULE)),
-            rounds: None,
-        };
+        let ws = Workspace::new(&initial.ranks, &opts);
         let last = StepStats {
             status: initial.status,
             iterations: initial.iterations,
@@ -608,15 +681,7 @@ impl UpdateSession {
             ));
         }
         let opts = opts.precompile_vertex_plan(&snapshot);
-        let ws = Workspace {
-            ranks: AtomicRanks::from_slice(ranks),
-            va: EpochFlags::new(n),
-            rc: EpochFlags::new(rc_flags_len(n, opts.convergence, opts.chunk_size)),
-            checked: EpochFlags::new(n),
-            edges: Vec::new(),
-            active: EpochFlags::new(n.div_ceil(ACTIVE_GRANULE)),
-            rounds: None,
-        };
+        let ws = Workspace::new(ranks, &opts);
         let view = RankView {
             snapshot,
             ranks: Arc::from(ranks),
@@ -690,6 +755,7 @@ impl UpdateSession {
             sources,
             opts,
             ranks: AtomicRanks::from_slice(ranks),
+            shadow: Vec::new(),
             deltas: deltas.into(),
         });
         self.maybe_publish();
@@ -809,9 +875,10 @@ impl UpdateSession {
     /// Turn on per-step rank-delta recording: every subsequent step
     /// diffs the committed ranks against the previous epoch's and keeps
     /// the moved vertices in [`last_deltas`](Self::last_deltas) (and in
-    /// each published [`RankView`]). Off by default — tracking costs an
-    /// O(n) shadow copy + diff per kernel pass, which the zero-alloc
-    /// batch pipeline does not want to pay unasked.
+    /// each published [`RankView`]). Off by default — tracking keeps an
+    /// n-entry shadow of each ranking. The first tracked pass copies it
+    /// in full; afterwards a DF/DT pass diffs only its marked vertices,
+    /// while Static/ND/BB passes, which may move any rank, diff all n.
     pub fn enable_delta_tracking(&mut self) {
         self.track_deltas = true;
     }
@@ -866,6 +933,7 @@ impl UpdateSession {
             sources,
             opts,
             ranks: AtomicRanks::from_slice(&initial.ranks),
+            shadow: Vec::new(),
             deltas: Arc::from(Vec::new()),
         });
         // Republish (same epoch) so live readers see the new view now.
@@ -1107,10 +1175,6 @@ impl UpdateSession {
         if self.ws.rc.len() != rc_len {
             self.ws.rc.resize(rc_len);
         }
-        let granules = n.div_ceil(ACTIVE_GRANULE);
-        if self.ws.active.len() != granules {
-            self.ws.active.resize(granules);
-        }
         if self
             .opts
             .vertex_plan_cache
@@ -1145,11 +1209,16 @@ impl UpdateSession {
         batch: &BatchUpdate,
     ) -> (EngineStats, usize) {
         self.prepare_workspace(curr);
-        if self.track_deltas {
-            self.shadow.clear();
+        let track = self.track_deltas;
+        // A DF/DT pass writes only the ranks of its `VA` set, so the
+        // delta diff can walk that set; every other pass may move any
+        // rank.
+        let sparse = matches!(self.algorithm, Algorithm::DtLF | Algorithm::DfLF);
+        if track {
             // SAFETY: see `ranks` — `&mut self` rules out writers.
-            self.shadow
-                .extend_from_slice(unsafe { self.ws.ranks.as_f64_slice_unchecked() });
+            sync_shadow(&mut self.shadow, unsafe {
+                self.ws.ranks.as_f64_slice_unchecked()
+            });
         }
         let result = Self::kernel_pass(
             self.algorithm,
@@ -1160,20 +1229,22 @@ impl UpdateSession {
             curr,
             batch,
         );
-        if self.track_deltas {
-            self.last_deltas = deltas_of(&self.shadow, unsafe {
-                self.ws.ranks.as_f64_slice_unchecked()
-            });
+        if track {
+            self.last_deltas = diff_into_shadow(
+                &mut self.shadow,
+                unsafe { self.ws.ranks.as_f64_slice_unchecked() },
+                sparse.then_some(&self.ws.va),
+            );
         }
         for view in &mut self.views {
             // Each pass needs fresh flag epochs and rewound cursors; the
             // flags advance inside the pass, the cursors rewind here.
             self.ws.rounds.as_mut().expect("prepared above").reset();
-            if self.track_deltas {
-                self.shadow.clear();
+            if track {
                 // SAFETY: see `ranks` — `&mut self` rules out writers.
-                self.shadow
-                    .extend_from_slice(unsafe { view.ranks.as_f64_slice_unchecked() });
+                sync_shadow(&mut view.shadow, unsafe {
+                    view.ranks.as_f64_slice_unchecked()
+                });
             }
             let _ = Self::kernel_pass(
                 self.algorithm,
@@ -1184,9 +1255,12 @@ impl UpdateSession {
                 curr,
                 batch,
             );
-            if self.track_deltas {
-                view.deltas =
-                    deltas_of(&self.shadow, unsafe { view.ranks.as_f64_slice_unchecked() });
+            if track {
+                view.deltas = diff_into_shadow(
+                    &mut view.shadow,
+                    unsafe { view.ranks.as_f64_slice_unchecked() },
+                    sparse.then_some(&self.ws.va),
+                );
             }
         }
         result
@@ -1210,7 +1284,6 @@ impl UpdateSession {
             rc,
             checked,
             edges,
-            active,
             rounds,
         } = ws;
         let ranks: &mut AtomicRanks = match ranks_override {
@@ -1241,9 +1314,6 @@ impl UpdateSession {
             return (engine, affected);
         }
 
-        // The granule filter's termination scan indexes RC by vertex,
-        // so it requires per-vertex convergence flags.
-        let sparse_filter = matches!(opts.convergence, crate::config::ConvergenceMode::PerVertex);
         let rounds: &RoundCursors = rounds.as_ref().expect("prepared above");
         let n = curr.num_vertices();
 
@@ -1253,38 +1323,19 @@ impl UpdateSession {
                 // vertices (the workspace still saves the allocations).
                 ranks.fill(1.0 / n.max(1) as f64);
                 rc.fill_set();
-                let s = run_lf_engine_on::<_, EpochFlags, EpochFlags, EpochFlags>(
-                    curr,
-                    ranks,
-                    &*rc,
-                    LfMode::All,
-                    opts,
-                    None,
-                    rounds,
-                    None,
-                );
+                let s = run_lf_engine_on(curr, ranks, &*rc, LfMode::All, opts, None, rounds);
                 (s, 0)
             }
             Algorithm::NdLF => {
                 // Naive-dynamic: warm ranks are already in place.
                 rc.fill_set();
-                let s = run_lf_engine_on::<_, EpochFlags, EpochFlags, EpochFlags>(
-                    curr,
-                    ranks,
-                    &*rc,
-                    LfMode::All,
-                    opts,
-                    None,
-                    rounds,
-                    None,
-                );
+                let s = run_lf_engine_on(curr, ranks, &*rc, LfMode::All, opts, None, rounds);
                 (s, 0)
             }
             Algorithm::DtLF | Algorithm::DfLF => {
-                va.advance();
+                va.clear();
                 rc.advance();
                 checked.advance();
-                active.advance();
                 edges.clear();
                 edges.extend(batch.iter_all());
                 let cursor = ChunkCursor::new(edges.len());
@@ -1293,8 +1344,6 @@ impl UpdateSession {
                 let phase1_chunk = opts.batch_chunk(edges.len());
                 let va = &*va;
                 let checked = &*checked;
-                let active_view = ActiveChunks::new(&*active, ACTIVE_GRANULE, n);
-                let active_opt = sparse_filter.then_some(&active_view);
                 let traversal = algorithm == Algorithm::DtLF;
                 // Sources past `prev`'s vertex set (ad-hoc `grow()` in a
                 // mutate closure) have no previous out-neighbors.
@@ -1302,8 +1351,8 @@ impl UpdateSession {
                 // DF (Alg. 2 lines 10-12): out-neighbors of u in both
                 // snapshots become affected. DT (§3.5.2): everything
                 // reachable from them in Gt, via atomic-visited DFS.
-                // Chunk flags are marked before vertex flags (see
-                // `ActiveChunks`).
+                // `VA` is marked before `RC`, which the sparse exit
+                // check relies on (see `lf_common`).
                 let mark_source = |u: u32| {
                     let prev_out = if (u as usize) < prev_n {
                         prev.out(u)
@@ -1312,13 +1361,11 @@ impl UpdateSession {
                     };
                     for &vp in prev_out.iter().chain(curr.out(u)) {
                         if traversal {
-                            dfs_mark_atomic(curr, vp, va, &mut |w| {
-                                active_view.mark_vertex(w as usize);
+                            dfs_mark_atomic(curr, vp, &|v| va.test_and_set(v), &mut |w| {
                                 affected.fetch_add(1, Ordering::Relaxed);
                                 rc_view.set_vertex(w as usize);
                             });
                         } else {
-                            active_view.mark_vertex(vp as usize);
                             if !va.test_and_set(vp as usize) {
                                 affected.fetch_add(1, Ordering::Relaxed);
                             }
@@ -1337,16 +1384,7 @@ impl UpdateSession {
                         tau_f: opts.frontier_tolerance,
                     }
                 };
-                let s = run_lf_engine_on(
-                    curr,
-                    ranks,
-                    &*rc,
-                    mode,
-                    opts,
-                    Some(phase1),
-                    rounds,
-                    active_opt,
-                );
+                let s = run_lf_engine_on(curr, ranks, &*rc, mode, opts, Some(phase1), rounds);
                 (s, affected.load(Ordering::Relaxed))
             }
             Algorithm::StaticBB | Algorithm::NdBB | Algorithm::DtBB | Algorithm::DfBB => {
@@ -1847,6 +1885,198 @@ mod tests {
                     rec.view_movers("ego", 3),
                     "{algo}"
                 );
+            }
+        }
+    }
+
+    /// The dense delta oracle: every vertex whose rank bits differ
+    /// between two full copies, ascending.
+    fn deltas_of(old: &[f64], new: &[f64]) -> Vec<RankDelta> {
+        (0..new.len())
+            .filter(|&v| old[v].to_bits() != new[v].to_bits())
+            .map(|v| RankDelta {
+                vertex: v as u32,
+                old: old[v],
+                new: new[v],
+            })
+            .collect()
+    }
+
+    /// Take one step (or mutation) and check the recorded deltas of the
+    /// default ranking and of view `ego` against full-copy diffs. A
+    /// vertex added by the step counts from its seed rank of 1/n.
+    fn step_checked(
+        s: &mut UpdateSession,
+        what: &str,
+        step: impl FnOnce(&mut UpdateSession) -> StepStats,
+    ) {
+        let mut pre = s.ranks().to_vec();
+        let mut pre_view = s.view_ranks("ego").unwrap().to_vec();
+        let stats = step(s);
+        assert!(stats.status.is_success(), "{what}");
+        let n = s.ranks().len();
+        pre.resize(n, 1.0 / n as f64);
+        pre_view.resize(n, 1.0 / n as f64);
+        assert_eq!(s.last_deltas(), deltas_of(&pre, s.ranks()), "{what}");
+        assert_eq!(
+            s.view_deltas("ego").unwrap(),
+            deltas_of(&pre_view, s.view_ranks("ego").unwrap()),
+            "{what}: view"
+        );
+    }
+
+    #[test]
+    fn marked_set_deltas_match_full_copy_diffs() {
+        // A road grid keeps DF's marked set a small part of the graph,
+        // so a diff that missed an unmarked vertex (or a stale shadow)
+        // would show against the full-copy oracle.
+        use lfpr_graph::generators::grid_road;
+        for algo in [Algorithm::DfLF, Algorithm::DtLF, Algorithm::NdLF] {
+            let mut g = grid_road(3_000, 21);
+            add_self_loops(&mut g);
+            let o = opts().with_threads(2);
+            let mut s = UpdateSession::new(g, algo, o.clone());
+            let t = Teleport::personalized([(5, 1.0), (2_900, 1.0)]).unwrap();
+            s.add_view("ego", t.clone()).unwrap();
+            // Untracked steps first: tracking then starts mid-session.
+            for round in 0..2u64 {
+                let batch = BatchSpec::mixed(2e-3, 30 + round).generate(s.graph());
+                s.step(&batch).unwrap();
+            }
+            assert!(s.last_deltas().is_empty());
+            s.enable_delta_tracking();
+            for round in 0..3u64 {
+                let batch = BatchSpec::mixed(2e-3, 40 + round).generate(s.graph());
+                step_checked(&mut s, &format!("{algo} step {round}"), |s| {
+                    s.step(&batch).unwrap()
+                });
+            }
+            // Vertex growth through a mutate closure.
+            let n = s.graph().num_vertices() as u32;
+            step_checked(&mut s, &format!("{algo} grow"), |s| {
+                s.step_mutated(|g| {
+                    g.grow(n as usize + 2);
+                    let mut b = BatchUpdate::new();
+                    for e in [(n, n), (n, 7), (n + 1, n + 1), (9, n + 1)] {
+                        g.insert_edge(e.0, e.1).unwrap();
+                        b.insertions.push(e);
+                    }
+                    b
+                })
+            });
+            let batch = BatchSpec::mixed(2e-3, 50).generate(s.graph());
+            step_checked(&mut s, &format!("{algo} after grow"), |s| {
+                s.step(&batch).unwrap()
+            });
+            // A restored session (fresh shadows) and the live one record
+            // the same deltas from then on.
+            let edges: Vec<_> = s.graph().snapshot().edges().collect();
+            let graph = DynGraph::from_edges(s.graph().num_vertices(), edges).unwrap();
+            let mut rec =
+                UpdateSession::restore(graph, algo, o.clone(), s.ranks(), s.steps()).unwrap();
+            rec.enable_delta_tracking();
+            rec.restore_view("ego", t, s.view_ranks("ego").unwrap(), Vec::new())
+                .unwrap();
+            for round in 0..2u64 {
+                let batch = BatchSpec::mixed(2e-3, 60 + round).generate(s.graph());
+                step_checked(&mut rec, &format!("{algo} restored {round}"), |r| {
+                    r.step(&batch).unwrap()
+                });
+                step_checked(&mut s, &format!("{algo} live {round}"), |s| {
+                    s.step(&batch).unwrap()
+                });
+            }
+        }
+    }
+
+    /// The sort-based top-k oracle the single pass must reproduce.
+    fn top_k_oracle(ranks: &[f64], k: usize, range: std::ops::Range<u32>) -> Vec<(u32, f64)> {
+        let hi = (ranks.len() as u32).min(range.end);
+        let mut all: Vec<(u32, f64)> = (range.start.min(hi)..hi)
+            .map(|v| (v, ranks[v as usize]))
+            .collect();
+        all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        all.truncate(k);
+        all
+    }
+
+    #[test]
+    fn single_pass_top_k_matches_sort_oracle() {
+        // Heavy ties (13 distinct values) and a tie-free vector.
+        let tied: Vec<f64> = (0..1000u64)
+            .map(|v| ((v * 7919) % 13) as f64 / 13.0)
+            .collect();
+        let distinct: Vec<f64> = (0..1000u64)
+            .map(|v| ((v * 2_654_435_761) % 1_000_003) as f64 * 1e-6)
+            .collect();
+        for ranks in [&tied, &distinct] {
+            for k in [0, 1, 5, 13, 77, 999, 1000, 5000] {
+                for range in [
+                    0..1000,
+                    0..0,
+                    500..500,
+                    10..20,
+                    990..1200,
+                    1200..1300,
+                    300..700,
+                ] {
+                    assert_eq!(
+                        top_k_range_of(ranks, k, range.clone()),
+                        top_k_oracle(ranks, k, range.clone()),
+                        "k {k} range {range:?}"
+                    );
+                }
+                assert_eq!(top_k_of(ranks, k), top_k_oracle(ranks, k, 0..1000));
+                // Per-range lists merged by the same comparator (the
+                // shard router's merge) reproduce the whole-vector list.
+                let mut merged: Vec<(u32, f64)> = [0..333, 333..600, 600..1000]
+                    .into_iter()
+                    .flat_map(|r| top_k_range_of(ranks, k, r))
+                    .collect();
+                merged.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+                merged.truncate(k);
+                assert_eq!(merged, top_k_of(ranks, k), "merged k {k}");
+            }
+        }
+        assert!(top_k_of(&[], 3).is_empty());
+    }
+
+    #[test]
+    fn lock_free_sessions_converge_under_crashes_and_delays() {
+        // The paper's fault model inside a reusable session: at 4
+        // threads, crash-stops and random delays on every step's run
+        // leave DF/DT still converging next to the sequential
+        // reference, within the paper's 1e-9 band for τ = 1e-10. A
+        // missed RC bit in the sparse exit check would let survivors
+        // stop early and show here as a large error.
+        use crate::config::ConvergenceMode;
+        use lfpr_graph::generators::grid_road;
+        use lfpr_sched::fault::FaultPlan;
+        let plans = [
+            FaultPlan::with_crashes(2, 400, 7),
+            FaultPlan::with_delays(2e-3, Duration::from_micros(300), 11),
+        ];
+        for algo in [Algorithm::DfLF, Algorithm::DtLF] {
+            for plan in &plans {
+                for convergence in [ConvergenceMode::PerVertex, ConvergenceMode::PerChunk] {
+                    let mut g = grid_road(10_000, 5);
+                    add_self_loops(&mut g);
+                    let o = PagerankOptions::default()
+                        .with_threads(4)
+                        .with_chunk_size(256)
+                        .with_convergence(convergence)
+                        .with_faults(*plan);
+                    let tau = o.tolerance;
+                    let mut s = UpdateSession::new(g, algo, o);
+                    for round in 0..3u64 {
+                        let batch = BatchSpec::mixed(1e-3, 70 + round).generate(s.graph());
+                        let stats = s.step(&batch).unwrap();
+                        let what = format!("{algo} {convergence:?} {plan:?} step {round}");
+                        assert!(stats.status.is_success(), "{what}");
+                        let err = linf_diff(s.ranks(), &reference_default(&s.graph().snapshot()));
+                        assert!(err < 10.0 * tau, "{what}: err = {err:.2e}");
+                    }
+                }
             }
         }
     }

@@ -27,7 +27,7 @@ pub fn static_lf<G: NeighborRuns>(g: &G, opts: &PagerankOptions) -> PagerankResu
     let n = g.num_vertices();
     let ranks = AtomicRanks::uniform(n, 1.0 / n.max(1) as f64);
     let rc = Flags::new(rc_flags_len(n, opts.convergence, opts.chunk_size), 1);
-    run_lf_engine(g, &ranks, &rc, LfMode::<Flags>::All, opts, None)
+    run_lf_engine(g, &ranks, &rc, LfMode::All, opts, None)
 }
 
 #[cfg(test)]

@@ -38,9 +38,9 @@ use crate::runs::NeighborRuns;
 use crate::snapshot::Snapshot;
 use crate::types::{GraphError, Result, VertexId};
 
-/// Vertices per granule. Deliberately equal to the session's
-/// `ACTIVE_GRANULE` active-filter width so one rebalance touches exactly
-/// one activity chunk's worth of runs.
+/// Vertices per granule. Equal to the width of one word of the DF/DT
+/// affected-set bitmap, so one rebalance touches the runs of exactly the
+/// vertices one marked bitmap word covers.
 pub const GRANULE: usize = 64;
 
 /// Slack a run of length `len` receives at (re)build time. At least two

@@ -1,9 +1,9 @@
 //! Batch-locality vertex reordering: renumber vertices at load time so
 //! that structurally close vertices get nearby ids.
 //!
-//! The session's active filter tracks dirty vertices in 64-wide granules
+//! The DF/DT engine walks the affected set as a bitmap of 64-vertex words
 //! and the gapped store rebalances 64-vertex granules; both profit when
-//! the vertices an update batch perturbs share granules. Raw dataset ids
+//! the vertices an update batch perturbs share words and granules. Raw dataset ids
 //! carry no locality, so we renumber once at load time and translate ids
 //! at the serve boundary (`src/serve.rs`); the wire protocol is untouched
 //! and clients keep speaking external (original) ids.
@@ -11,8 +11,8 @@
 //! Two strategies, both deterministic:
 //!
 //! * **degree** — descending out-degree, ties by original id. Hubs (which
-//!   most batches touch) share the first granules, so the active filter's
-//!   dirty set stays dense.
+//!   most batches touch) share the first granules, so the affected set's
+//!   marked bitmap words stay few and dense.
 //! * **bfs** — breadth-first from the highest-out-degree vertex, restarting
 //!   at the next unvisited vertex in degree order. Neighborhoods become
 //!   contiguous id ranges, so the affected ball of a batch edge lands in

@@ -70,7 +70,7 @@ use crate::serve::{
     apply_logged, reply, stage_delete, stage_insert, status_str, translate_request, ServeSummary,
     WriterOk, WriterOp, WriterReply, WriterRequest,
 };
-use lfpr_core::session::{RankReader, RankView, UpdateSession};
+use lfpr_core::session::{top_k_ascending, RankReader, RankView, UpdateSession};
 use lfpr_core::{Algorithm, PagerankOptions, RunStatus};
 use lfpr_graph::reorder::SharedReordering;
 use lfpr_graph::{BatchUpdate, DynGraph, Partition};
@@ -636,16 +636,10 @@ impl ShardPin<'_> {
             let range = self.router.part.owned_range(s);
             match &self.corr {
                 None => cand.extend(view.top_k_range(k, range)),
-                Some(c) => {
-                    let mut owned: Vec<(u32, f64)> = range
-                        .map(|v| (v, view.ranks()[v as usize] + c[v as usize]))
-                        .collect();
-                    owned.sort_unstable_by(|a, b| {
-                        b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0))
-                    });
-                    owned.truncate(k);
-                    cand.extend(owned);
-                }
+                Some(c) => cand.extend(top_k_ascending(
+                    k,
+                    range.map(|v| (v, view.ranks()[v as usize] + c[v as usize])),
+                )),
             }
         }
         cand.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
