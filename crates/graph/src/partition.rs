@@ -188,7 +188,7 @@ impl Partition {
     /// and exactly the edges whose source `s` owns. Non-owned vertices
     /// are edgeless sources; they still appear in owned vertices'
     /// in-lists when a crossing edge targets shard `s`, which is how the
-    /// exchange-round corrections enter the shard's pull kernel.
+    /// exchange corrections enter the shard's pull kernel.
     pub fn shard_graph(&self, g: &DynGraph, s: usize) -> DynGraph {
         let mut sg = DynGraph::new(self.n);
         sg.set_lazy(true);

@@ -560,8 +560,9 @@ pub fn apply_frame(session: &mut UpdateSession, frame: Frame) -> Applied {
 pub struct FollowerOptions {
     /// Leader address (`host:port`).
     pub leader: String,
-    /// Session options for the mirrored state (one thread for
-    /// bit-exact tracking).
+    /// Session options for the mirrored state: the kernel options a
+    /// default `lfpr serve` leader runs, at one thread for bit-exact
+    /// tracking.
     pub runtime: PagerankOptions,
     /// TCP connect timeout per attempt.
     pub connect_timeout: Duration,
@@ -576,13 +577,15 @@ pub struct FollowerOptions {
 }
 
 impl FollowerOptions {
-    /// Defaults for a given leader address: 1-thread runtime, 3 s
-    /// connects, 200 ms read polls, 30 attempts backing off
-    /// 100 ms → 5 s.
+    /// Defaults for a given leader address: the default leader's kernel
+    /// at 1 thread, 3 s connects, 200 ms read polls, 30 attempts backing
+    /// off 100 ms → 5 s.
     pub fn new(leader: impl Into<String>) -> FollowerOptions {
         FollowerOptions {
             leader: leader.into(),
-            runtime: PagerankOptions::default().with_threads(1),
+            runtime: crate::ServeConfig::new(crate::GraphSource::Recovered)
+                .pagerank_options()
+                .with_threads(1),
             connect_timeout: Duration::from_secs(3),
             read_timeout: Duration::from_millis(200),
             max_attempts: 30,

@@ -4,12 +4,13 @@
 //! its reconnect backoff — all over real sockets.
 
 use lockfree_pagerank::durable::{Durability, DurabilityOptions};
+use lockfree_pagerank::graph::generators::grid_road;
 use lockfree_pagerank::graph::io::wal::FsyncPolicy;
 use lockfree_pagerank::graph::selfloops::add_self_loops;
 use lockfree_pagerank::graph::GraphBuilder;
 use lockfree_pagerank::replica::{Follower, FollowerOptions};
-use lockfree_pagerank::server::{spawn_durable, TcpServer};
-use lockfree_pagerank::{Algorithm, PagerankOptions, UpdateSession};
+use lockfree_pagerank::server::{spawn, spawn_durable, TcpServer};
+use lockfree_pagerank::{Algorithm, GraphSource, PagerankOptions, ServeConfig, UpdateSession};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -253,4 +254,64 @@ fn late_follower_bootstraps_from_resync() {
     follower.stop().expect("clean stop");
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn default_follower_runs_the_default_leaders_kernel_bit_for_bit() {
+    // A leader built the way `lfpr serve` builds one by default, and a
+    // follower with default options: after a run of live delta frames
+    // both must hold the same rank bits, which needs the same τ, τf and
+    // schedule on both sides. A sparse road grid keeps each commit's
+    // frontier local, so a follower at another τf sweeps a different
+    // vertex set and lands on different bits.
+    const N: u32 = 4000;
+    let mut g = grid_road(N as usize, 7);
+    add_self_loops(&mut g);
+    let cfg = ServeConfig::new(GraphSource::Recovered);
+    let mut session = UpdateSession::new(g, cfg.algo, cfg.pagerank_options());
+    session.enable_delta_tracking();
+    let leader = session.reader();
+    let server = spawn(session, TcpListener::bind("127.0.0.1:0").unwrap(), 4).unwrap();
+    let follower = Follower::spawn(FollowerOptions::new(server.addr().to_string()));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while follower.reader().is_none() {
+        assert!(Instant::now() < deadline, "follower never synced");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let mut w = Client::connect(server.addr());
+    const COMMITS: u64 = 12;
+    let mut v = 0u32;
+    for _ in 0..COMMITS {
+        let snap = leader.view().snapshot().clone();
+        for _ in 0..3 {
+            let u = v % N;
+            let mut t = (v * 37 + 11) % N;
+            while t == u || snap.has_edge(u, t) {
+                t = (t + 1) % N;
+            }
+            assert_eq!(
+                w.roundtrip(&format!("insert {u} {t}")).split(' ').next(),
+                Some("staged")
+            );
+            v += 331;
+        }
+        assert!(w.roundtrip("batch").starts_with("ok batch=3"));
+    }
+    w.roundtrip("quit");
+    await_epoch(&follower, COMMITS);
+    let (reader, _algo, _reorder) = follower.reader().expect("follower synced");
+    let (mine, theirs) = (reader.view(), leader.view());
+    assert_eq!((mine.epoch(), theirs.epoch()), (COMMITS, COMMITS));
+    for (x, (a, b)) in mine.ranks().iter().zip(theirs.ranks()).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "vertex {x}: follower {a:e} vs leader {b:e}"
+        );
+    }
+    let stats = follower.stop().expect("follower clean stop");
+    assert!(stats.deltas_applied >= COMMITS, "{stats:?}");
+    assert_eq!(stats.resyncs, 1, "{stats:?}");
+    server.stop();
 }

@@ -5,9 +5,9 @@
 //! * **bit-for-bit** when the partition has no crossing edges (the
 //!   correction overlay is `None` and every shard solves its subsystem
 //!   exactly as the unsharded kernel would, at `threads = 1`), and
-//! * within the documented exchange-round staleness bound
-//!   `α^(K+1) / (1 − α)` (≈ 5e-9 at the default K = 128, α = 0.85)
-//!   when edges cross shards.
+//! * within the documented exchange bound `n·PUSH_TOL / (1 − α)`
+//!   (≈ 4e-14 at n = 64, α = 0.85) plus both kernels' τ when edges
+//!   cross shards.
 //!
 //! Replies are compared through the typed protocol parser, not as raw
 //! text: a sharded reply carries `epochs=a,b,c,d` where the unsharded
@@ -20,7 +20,8 @@ use lockfree_pagerank::graph::{DynGraph, GraphBuilder, Partition};
 use lockfree_pagerank::protocol::{continuation_lines, parse_response, Response};
 use lockfree_pagerank::serve::serve_connection;
 use lockfree_pagerank::shard::{serve_shard_client, ShardRouter, ShardSpec};
-use lockfree_pagerank::{Algorithm, PagerankOptions, UpdateSession};
+use lockfree_pagerank::{Algorithm, BatchUpdate, PagerankOptions, UpdateSession};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Write as _;
 
 const SHARDS: usize = 4;
@@ -211,9 +212,10 @@ fn sharded_is_bit_identical_without_crossing_edges() {
 #[test]
 fn sharded_stays_within_the_exchange_round_bound_with_crossing_edges() {
     // An Erdős–Rényi graph crosses the block partition heavily; the
-    // router must land every rank within the documented K-round
-    // staleness bound of the single-session answer. 1e-8 leaves room
-    // for the bound (≈5e-9) plus both kernels' τ = 1e-10 solves.
+    // router must land every rank within the documented exchange bound
+    // of the single-session answer. The push's own L1 error is at most
+    // n·PUSH_TOL/(1−α) ≈ 4e-14 here; 1e-8 leaves room for both
+    // kernels' τ = 1e-10 solves.
     let mut g = erdos_renyi(64, 384, 11);
     add_self_loops(&mut g);
     assert!(
@@ -283,4 +285,195 @@ fn router_boundary_vertex_sets_are_exact() {
         "corrected ranks must stay a distribution"
     );
     router.shutdown();
+}
+
+/// Deterministic xorshift64 stream for the randomized histories.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+}
+
+/// A random edge `u→v` (no self-loop) that crosses the partition when
+/// `cross` is set and stays inside `owner(u)` otherwise.
+fn random_edge(rng: &mut Rng, part: &Partition, u: u32, cross: bool) -> (u32, u32) {
+    loop {
+        let v = rng.below(part.num_vertices()) as u32;
+        if v != u && (part.owner(u) != part.owner(v)) == cross {
+            return (u, v);
+        }
+    }
+}
+
+/// The exchange's stopping rule: every residual at most this.
+const PUSH_TOL: f64 = 1e-16;
+
+/// A cold exchange pass: the correction overlay for shard ranks `r_sh`
+/// over `edges`, forward-pushed from zero until every residual is at
+/// most `PUSH_TOL`.
+fn cold_correction(part: &Partition, edges: &BTreeSet<(u32, u32)>, r_sh: &[f64]) -> Vec<f64> {
+    let n = r_sh.len();
+    let alpha = opts().alpha;
+    let mut outs = vec![Vec::new(); n];
+    for &(u, v) in edges {
+        outs[u as usize].push(v as usize);
+    }
+    let mut res = vec![0.0; n];
+    for (u, targets) in outs.iter().enumerate() {
+        for &v in targets {
+            if part.owner(u as u32) != part.owner(v as u32) {
+                res[v] += alpha * r_sh[u] / targets.len() as f64;
+            }
+        }
+    }
+    let mut corr = vec![0.0; n];
+    let mut queued = vec![true; n];
+    let mut queue: VecDeque<usize> = (0..n).collect();
+    while let Some(v) = queue.pop_front() {
+        queued[v] = false;
+        let r = std::mem::replace(&mut res[v], 0.0);
+        corr[v] += r;
+        for &x in &outs[v] {
+            res[x] += alpha * r / outs[v].len() as f64;
+            if !queued[x] && res[x].abs() > PUSH_TOL {
+                queued[x] = true;
+                queue.push_back(x);
+            }
+        }
+    }
+    corr
+}
+
+/// Run `commits` seeded random commits against a `shards`-way router
+/// and an unsharded session over the same graph. The history mixes
+/// crossing and local insertions and deletions (local ones at boundary
+/// sources change the out-degree that crossing pushes divide by),
+/// periodically deletes every crossing edge and re-adds some, and sends
+/// batches that one shard rejects. After every commit the served
+/// overlay, warm-started from the previous commit's, must match a cold
+/// pass over the same pinned ranks, and the served ranks the unsharded
+/// session.
+fn warm_exchange_history(shards: usize, commits: usize, seed: u64) {
+    const N: usize = 200;
+    let part = Partition::block(N, shards).unwrap();
+    let mut rng = Rng(seed);
+    let mut edges = BTreeSet::new();
+    for u in 0..N as u32 {
+        edges.insert((u, u));
+        for k in 0..4 {
+            edges.insert(random_edge(&mut rng, &part, u, k == 0));
+        }
+    }
+    let g = GraphBuilder::new(N)
+        .edges(edges.iter().copied().collect::<Vec<_>>())
+        .build_dyn()
+        .unwrap();
+    let router =
+        ShardRouter::new(g.clone(), Algorithm::DfLF, opts(), ShardSpec::new(shards)).unwrap();
+    let mut single = UpdateSession::new(g, Algorithm::DfLF, opts());
+    let crosses = |&(u, v): &(u32, u32)| part.owner(u) != part.owner(v);
+    // Each pass lies within n·PUSH_TOL/(1−α) of the exact overlay, so
+    // two passes lie within twice that of each other. (Recovering the
+    // shard ranks as `rank − correction` costs an ulp per vertex, two
+    // orders of magnitude below the bound.)
+    let bound = 2.0 * N as f64 * PUSH_TOL / (1.0 - opts().alpha);
+    let (mut cleared, mut rejected) = (0, 0);
+    for i in 0..commits {
+        let mut batch = BatchUpdate::new();
+        if i % 97 == 50 {
+            batch.deletions = edges.iter().copied().filter(crosses).collect();
+        } else {
+            let mut touched = BTreeSet::new();
+            for _ in 0..1 + rng.below(6) {
+                let boundary: Vec<u32> = edges.iter().filter(|e| crosses(e)).map(|e| e.0).collect();
+                let u = match rng.below(3) {
+                    0 if !boundary.is_empty() => boundary[rng.below(boundary.len())],
+                    _ => rng.below(N) as u32,
+                };
+                let cross = rng.below(2) == 0;
+                let outs: Vec<(u32, u32)> = edges
+                    .range((u, 0)..(u + 1, 0))
+                    .copied()
+                    .filter(|e| e.1 != u && crosses(e) == cross)
+                    .collect();
+                if rng.below(2) == 0 && !outs.is_empty() {
+                    let e = outs[rng.below(outs.len())];
+                    if touched.insert(e) {
+                        batch.deletions.push(e);
+                    }
+                } else {
+                    let e = random_edge(&mut rng, &part, u, cross);
+                    if !edges.contains(&e) && touched.insert(e) {
+                        batch.insertions.push(e);
+                    }
+                }
+            }
+        }
+        // Every 37th batch also re-inserts an existing edge, so the shard
+        // owning it rejects its sub-batch while the others land.
+        let poison = (i % 37 == 36).then(|| {
+            let deleted: BTreeSet<_> = batch.deletions.iter().copied().collect();
+            let kept: Vec<_> = edges.difference(&deleted).copied().collect();
+            kept[rng.below(kept.len())]
+        });
+        let mut landed = BatchUpdate::new();
+        for (s, sub) in part.split_batch(&batch).into_iter().enumerate() {
+            if poison.is_none_or(|(u, _)| part.owner(u) != s) {
+                landed.insertions.extend(sub.insertions);
+                landed.deletions.extend(sub.deletions);
+            }
+        }
+        batch.insertions.extend(poison);
+        match router.commit(batch) {
+            Ok(_) => assert!(poison.is_none(), "commit {i}: poisoned batch accepted"),
+            Err(_) => {
+                assert!(poison.is_some(), "commit {i}: clean batch rejected");
+                rejected += 1;
+            }
+        }
+        for e in &landed.deletions {
+            edges.remove(e);
+        }
+        edges.extend(landed.insertions.iter().copied());
+        single.step(&landed).unwrap();
+
+        let pin = router.pin();
+        let warm: Vec<f64> = (0..N as u32).map(|v| pin.correction(v)).collect();
+        if edges.iter().any(crosses) {
+            let r_sh: Vec<f64> = (0..N as u32)
+                .map(|v| pin.rank(v) - warm[v as usize])
+                .collect();
+            let cold = cold_correction(&part, &edges, &r_sh);
+            let l1: f64 = warm.iter().zip(&cold).map(|(w, c)| (w - c).abs()).sum();
+            assert!(
+                l1 <= bound,
+                "commit {i}: warm vs cold L1 {l1:e} > {bound:e}"
+            );
+        } else {
+            // Nothing crosses: the overlay is dropped, not pushed to ~0.
+            assert!(warm.iter().all(|&c| c == 0.0), "commit {i}: stale overlay");
+            cleared += 1;
+        }
+        for v in 0..N as u32 {
+            let diff = (pin.rank(v) - single.rank(v)).abs();
+            assert!(diff < 1e-8, "commit {i}: rank {v} off by {diff:e}");
+        }
+    }
+    assert!(cleared > 0 && rejected > 0, "history missed a case");
+    router.shutdown();
+}
+
+#[test]
+fn warm_started_exchange_matches_a_cold_pass_at_2_shards() {
+    warm_exchange_history(2, 1000, 0x9e37_79b9_7f4a_7c15);
+}
+
+#[test]
+fn warm_started_exchange_matches_a_cold_pass_at_4_shards() {
+    warm_exchange_history(4, 1000, 0xd1b5_4a32_d192_ed03);
 }
