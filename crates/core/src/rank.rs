@@ -117,6 +117,9 @@ impl AtomicRanks {
     /// bit validity as `u64`, and every stored pattern came from
     /// `f64::to_bits`.
     pub fn as_f64_slice(&mut self) -> &[f64] {
+        // SAFETY: the returned slice borrows `self` mutably for its whole
+        // lifetime, so no other reference — and hence no writer — can
+        // touch `bits` while it lives, which is the callee's contract.
         unsafe { self.as_f64_slice_unchecked() }
     }
 
@@ -127,7 +130,17 @@ impl AtomicRanks {
     /// lifetime of the returned slice (e.g. the vector is owned by a
     /// structure whose only writers take `&mut`).
     pub(crate) unsafe fn as_f64_slice_unchecked(&self) -> &[f64] {
-        std::slice::from_raw_parts(self.bits.as_ptr() as *const f64, self.bits.len())
+        const {
+            assert!(std::mem::size_of::<AtomicU64>() == std::mem::size_of::<f64>());
+            assert!(std::mem::align_of::<AtomicU64>() >= std::mem::align_of::<f64>());
+        }
+        // SAFETY: the pointer and length come from a live `Vec`, so the
+        // range is one allocation of `len` initialized elements, borrowed
+        // for as long as `self` is. `AtomicU64` has the size of `f64` and
+        // at least its alignment (checked above at compile time), and
+        // every 64-bit pattern is a valid `f64`. The caller guarantees no
+        // concurrent writer, so the plain reads cannot race.
+        unsafe { std::slice::from_raw_parts(self.bits.as_ptr() as *const f64, self.bits.len()) }
     }
 }
 

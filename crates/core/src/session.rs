@@ -498,6 +498,10 @@ pub struct UpdateSession {
     /// for reuse once every reader has released it — steady-state
     /// publication then allocates nothing.
     spare_ranks: Option<Arc<[f64]>>,
+    /// The view the last publish displaced while a reader still held
+    /// it. The next step retries its retirement once, before the splice
+    /// that wants its snapshot buffers, and then lets it go.
+    displaced: Option<Arc<RankView>>,
     /// Whether steps record per-vertex rank deltas (off by default —
     /// tracking keeps an n-entry shadow per ranking and diffs it after
     /// every pass).
@@ -603,6 +607,7 @@ impl UpdateSession {
             published_step: 0,
             published_stale: false,
             spare_ranks: None,
+            displaced: None,
             track_deltas: false,
             shadow: Vec::new(),
             last_deltas: Arc::from(Vec::new()),
@@ -702,6 +707,7 @@ impl UpdateSession {
             published_step: epoch,
             published_stale: false,
             spare_ranks: None,
+            displaced: None,
             track_deltas: false,
             shadow: Vec::new(),
             last_deltas: Arc::from(Vec::new()),
@@ -838,10 +844,26 @@ impl UpdateSession {
         // snapshot goes back to the graph's recycler (while a view holds
         // it, `step`'s own recycle attempt necessarily fails). If a
         // reader still holds the view, everything stays frozen with it
-        // and the next publish simply allocates.
-        if let Some(old) = Arc::into_inner(old) {
-            self.spare_ranks = Some(old.ranks);
-            self.graph.recycle_snapshot(old.snapshot);
+        // and the next step retries once (`retry_displaced`).
+        match Arc::try_unwrap(old) {
+            Ok(old) => self.retire(old),
+            Err(held) => self.displaced = Some(held),
+        }
+    }
+
+    fn retire(&mut self, view: RankView) {
+        self.spare_ranks = Some(view.ranks);
+        self.graph.recycle_snapshot(view.snapshot);
+    }
+
+    /// Retire the view the last publish displaced if its readers have
+    /// released it since; otherwise drop this session's reference, so
+    /// the view lives only as long as they hold it. A reader that holds
+    /// views from one commit to the next (the sharded router keeps the
+    /// views its last exchange solved against) then still recycles.
+    fn retry_displaced(&mut self) {
+        if let Some(view) = self.displaced.take().and_then(Arc::into_inner) {
+            self.retire(view);
         }
     }
 
@@ -1035,6 +1057,7 @@ impl UpdateSession {
     /// Apply `batch` to the graph (all-or-nothing; the graph and ranks
     /// are untouched on error) and refresh the ranks incrementally.
     pub fn step(&mut self, batch: &BatchUpdate) -> GraphResult<StepStats> {
+        self.retry_displaced();
         if self.layout == StorageLayout::Gapped {
             return self.step_gapped(batch);
         }
@@ -1610,6 +1633,40 @@ mod tests {
             let batch = BatchSpec::mixed(0.01, 77).generate(s.graph());
             assert!(s.step(&batch).unwrap().status.is_success(), "{algo}");
         }
+    }
+
+    /// A reader that holds a view across the publish displacing it (as
+    /// the sharded router holds its last exchange's views) releases it
+    /// before the next step, which then still recycles its buffers.
+    #[test]
+    fn a_view_released_before_the_next_step_is_recycled() {
+        let mut s = session(Algorithm::DfLF);
+        let reader = s.reader();
+        let held = reader.view();
+        let held_ranks = held.ranks().as_ptr();
+        let batch = BatchSpec::mixed(0.01, 400).generate(s.graph());
+        s.step(&batch).unwrap(); // displaces `held` while it is pinned
+        drop(held);
+        // Had the buffer been freed, one of these would take its block,
+        // so only a recycled buffer can come back at the same address.
+        let n = s.graph().num_vertices();
+        let decoys: Vec<Arc<[f64]>> = (0..64).map(|_| Arc::from(vec![0.0; n])).collect();
+        let batch = BatchSpec::mixed(0.01, 401).generate(s.graph());
+        s.step(&batch).unwrap();
+        drop(decoys);
+        let view = reader.view();
+        assert_eq!(view.epoch(), 2);
+        assert_eq!(view.ranks(), s.ranks());
+        assert_eq!(view.ranks().as_ptr(), held_ranks, "buffer not reused");
+        drop(view);
+        // A view still held at the next step is let go, not kept.
+        let pinned = reader.view();
+        let batch = BatchSpec::mixed(0.01, 402).generate(s.graph());
+        s.step(&batch).unwrap();
+        let batch = BatchSpec::mixed(0.01, 403).generate(s.graph());
+        s.step(&batch).unwrap();
+        assert_eq!(Arc::strong_count(&pinned), 1);
+        assert_eq!(pinned.epoch(), 2);
     }
 
     #[test]

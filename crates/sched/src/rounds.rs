@@ -88,10 +88,28 @@ impl RoundCursors {
             .count()
     }
 
+    /// The cursors of block `b`, installing them on first use.
+    ///
+    /// Ownership of a spine slot: it is null until one `Box::into_raw`
+    /// pointer is installed by a successful compare-exchange. That
+    /// pointer is never replaced, its block is mutated only under
+    /// `&mut self` ([`reset`](Self::reset)), and it is freed only in
+    /// [`Drop`]. So every non-null pointer read from the spine is a live,
+    /// fully initialized `Block` for as long as `&self` is borrowed.
     fn block(&self, b: usize) -> &Block {
         let p = self.spine[b].load(Ordering::Acquire);
         if !p.is_null() {
-            return unsafe { &*p };
+            // SAFETY: non-null spine pointers are live `Block`s until
+            // `Drop` (slot ownership above); the `Acquire` load pairs with
+            // the installing compare-exchange's `Release`, so the block's
+            // contents are visible here.
+            let block = unsafe { &*p };
+            debug_assert_eq!(
+                block.cursors.len(),
+                ((b + 1) * ROUND_BLOCK).min(self.max_rounds) - b * ROUND_BLOCK,
+                "block {b} sits in the wrong slot"
+            );
+            return block;
         }
         // Materialize the block and race to install it. Losing the race
         // just frees our copy — no thread ever waits on another here
@@ -107,9 +125,19 @@ impl RoundCursors {
             Ordering::AcqRel,
             Ordering::Acquire,
         ) {
+            // SAFETY: `fresh` came from `Box::into_raw` just above and is
+            // now installed in the spine, which frees it only in `Drop`.
             Ok(_) => unsafe { &*fresh },
             Err(winner) => {
+                // SAFETY: the exchange failed, so `fresh` was never
+                // published: this thread still owns the allocation it
+                // got from `Box::into_raw`, and frees it exactly once.
                 drop(unsafe { Box::from_raw(fresh) });
+                debug_assert!(!winner.is_null(), "a failed install must find a block");
+                // SAFETY: the exchange compared against null and failed,
+                // so `winner` is the non-null pointer another thread
+                // installed; the `Acquire` failure ordering pairs with its
+                // `Release`, and it lives until `Drop`.
                 unsafe { &*winner }
             }
         }
@@ -124,6 +152,9 @@ impl RoundCursors {
         for p in self.spine.iter_mut() {
             let ptr = *p.get_mut();
             if !ptr.is_null() {
+                // SAFETY: a non-null slot holds a live `Block` (see
+                // `block`), and `&mut self` ends every `&Block` that
+                // `block` handed out, so this is the only reference.
                 for cursor in unsafe { &mut (*ptr).cursors }.iter_mut() {
                     cursor.reset();
                 }
@@ -153,6 +184,9 @@ impl Drop for RoundCursors {
         for p in self.spine.iter() {
             let ptr = p.load(Ordering::Acquire);
             if !ptr.is_null() {
+                // SAFETY: each slot was set at most once, to a pointer
+                // from `Box::into_raw`, and nothing else frees it; `Drop`
+                // runs once with exclusive access, so this frees it once.
                 drop(unsafe { Box::from_raw(ptr) });
             }
         }
