@@ -44,8 +44,8 @@
 //!    coalescing on, then off) each absorb the same multi-client commit
 //!    storm of pipelined small batches; `coalesce_throughput_ratio` =
 //!    commits/s with merging over commits/s without. Coalescing
-//!    amortizes per-commit fixed costs (the O(n+m) CSR splice, the
-//!    view publication, the WAL fsync when durable) across queued
+//!    amortizes per-commit fixed costs (the snapshot page-table copy,
+//!    the view publication, the WAL fsync when durable) across queued
 //!    commits, so the storm runs in the regime where those dominate:
 //!    `--storm-batch 10`-edge commits on a `--storm-vertices 400000`
 //!    graph (each 0 = inherit the main phases' value). Large batches
@@ -130,8 +130,8 @@ fn parse_args() -> Args {
         connections: vec![4, 64, 256, 1024],
         storm_clients: 4,
         storm_commits: 50,
-        // Coalescing amortizes the per-commit fixed costs — the O(n+m)
-        // packed-CSR splice and the view publication — across queued
+        // Coalescing amortizes the per-commit fixed costs — the
+        // snapshot page-table copy and the O(n) view publication — across queued
         // commits, so the storm measures the regime where those costs
         // exist: many small concurrent commits on a large graph. Big
         // batches are refresh-bound (per-edge work is additive across a

@@ -8,9 +8,9 @@
 //!   `DynGraph::snapshot()` (both CSRs + transpose rebuilt) + a one-shot
 //!   `api::run_dynamic` (fresh `AtomicRanks`/flag allocations, terminal
 //!   rank clone);
-//! * **incremental**: `UpdateSession::step` — CSR patching via
-//!   `Snapshot::apply_batch_into` with recycled buffers, epoch-reset
-//!   flag workspace, in-place warm ranks, no terminal clone.
+//! * **incremental**: `UpdateSession::step` — copy-on-write page
+//!   rebuilds via `Snapshot::apply_batch`, epoch-reset flag workspace,
+//!   in-place warm ranks, no terminal clone.
 //!
 //! After every batch the two rank vectors are compared: bit-identical
 //! at 1 thread (same snapshots, same warm start, same claim order),

@@ -3,10 +3,14 @@
 //! The experiment harnesses sweep over approaches; this module gives them
 //! one entry point per setting (static graph / dynamic update) plus
 //! metadata (names matching the paper's labels).
+//!
+//! Both entry points hand the kernels the graph's out-degrees as a dense
+//! array ([`WithDegrees`]): one O(n) pass per run, the same order as the
+//! rank and flag vectors a one-shot run allocates anyway.
 
 use crate::config::PagerankOptions;
 use crate::result::PagerankResult;
-use lfpr_graph::{BatchUpdate, NeighborRuns};
+use lfpr_graph::{out_degrees, BatchUpdate, NeighborRuns, WithDegrees};
 
 /// The eight algorithm variants of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,6 +120,8 @@ pub fn run_static<G: NeighborRuns>(
     g: &G,
     opts: &PagerankOptions,
 ) -> PagerankResult {
+    let degrees = out_degrees(g);
+    let g = &WithDegrees::new(g, &degrees);
     match algo {
         Algorithm::StaticBB => crate::static_bb::static_bb(g, opts),
         Algorithm::StaticLF => crate::static_lf::static_lf(g, opts),
@@ -134,6 +140,8 @@ pub fn run_dynamic<P: NeighborRuns, C: NeighborRuns>(
     prev_ranks: &[f64],
     opts: &PagerankOptions,
 ) -> PagerankResult {
+    let degrees = out_degrees(curr);
+    let curr = &WithDegrees::new(curr, &degrees);
     match algo {
         Algorithm::StaticBB => crate::static_bb::static_bb(curr, opts),
         Algorithm::StaticLF => crate::static_lf::static_lf(curr, opts),

@@ -8,7 +8,7 @@
 //!     for round in 0..MAX_ITERATIONS:
 //!         while chunk = claim(round):          # dynamic sched, nowait
 //!             for v in chunk [filter]:
-//!                 r = kernel(R, v); Δr = |r − R[v]|; R[v] = r   # in place
+//!                 c = R[v]; r = kernel(R, v); Δr = |r − c|; R[v] = r   # in place
 //!                 [Frontier: Δr > τf ⇒ mark out-neighbors, RC[v'] = 1]
 //!                 if Δr ≤ τ: RC[v] = 0
 //!         if RC[v] = 0 ∀v: break               # per-thread check
@@ -21,6 +21,19 @@
 //! claimed-but-unprocessed vertices keep `RC = 1`, so surviving threads
 //! re-process them in their next round — the fault-tolerance argument of
 //! §4.4.
+//!
+//! **Deviations from Alg. 2.** (1) *`RC` re-arm:* the pseudocode only
+//! ever clears `RC[v]`; the engine sets it again whenever a later `Δr`
+//! exceeds τ (see the loop body), since `RC[v] = 1` means "not yet
+//! converged". (2) *Early exit:* the pseudocode computes `r` and then
+//! reads `R[v]` for `Δr`; the engine reads `R[v]` first. Read after the
+//! kernel, a thread that recomputes `v` from the same neighbour values
+//! another thread just used compares its `r` with that thread's store,
+//! sees `Δr = 0` and clears the `RC[v]` the other thread set, so every
+//! thread can exit as converged while `v` is still moving. Comparing
+//! with the value this evaluation replaces measures its own change. At
+//! one thread nothing stores between the two reads, so the bits of a
+//! 1-thread run are unchanged.
 //!
 //! **Sparse rounds.** The dynamic variants keep `VA` in a two-level
 //! [`MarkBitmap`]. Within a claimed chunk a round steps from one marked
@@ -303,8 +316,11 @@ pub(crate) fn run_lf_engine_on<G: NeighborRuns, RC: FlagOps>(
                     };
                     pos = v + 1;
                     let vid = v as u32;
+                    // R[v] is read before the kernel, not after it
+                    // (module docs, deviation 2).
+                    let cur = ranks.get(v);
                     let r = rank_of_from_atomic_with(g, ranks, vid, opts.alpha, &base);
-                    let dr = (r - ranks.get(v)).abs();
+                    let dr = (r - cur).abs();
                     ranks.set(v, r); // in-place, visible to all threads
                     if let LfMode::Frontier { va, tau_f } = &mode {
                         // Alg. 2 lines 25-27: expand the frontier.

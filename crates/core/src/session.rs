@@ -1,9 +1,9 @@
 //! Long-lived incremental update sessions with a reusable workspace.
 //!
 //! [`UpdateSession`] is the stateful counterpart of [`api::run_dynamic`]:
-//! it owns the evolving [`DynGraph`], keeps the graph's CSR snapshot
-//! coherent across batches (patched incrementally via
-//! [`Snapshot::apply_batch_into`], never rebuilt), and reuses one
+//! it owns the evolving [`DynGraph`], keeps the graph's paged snapshot
+//! coherent across batches (derived copy-on-write via
+//! [`Snapshot::apply_batch`], never rebuilt), and reuses one
 //! workspace — the shared [`AtomicRanks`] vector, the `RC`/`C` flag
 //! vectors ([`EpochFlags`]: cleared per batch by an O(1) epoch bump),
 //! the `VA` affected set ([`MarkBitmap`]: cleared per pass by zeroing
@@ -14,13 +14,13 @@
 //! how small `|Δ|` is — `DynGraph::snapshot()` rebuilds both CSRs plus
 //! the transpose, and every `run_dynamic` allocates fresh rank/flag
 //! vectors and clones the rank vector back out. A session replaces all
-//! of that with work proportional to `|Δ|` plus bandwidth-bound bulk
-//! copies, which is what makes the paper's "small batch updates are
-//! cheap" headline hold end-to-end (the `update_bench` binary tracks
-//! the ratio). In steady state a lock-free step performs **zero O(n)
-//! allocations**: ranks stay in place (the previous batch's output *is*
-//! this batch's warm start), flags reset by epoch, retired snapshot
-//! buffers are recycled as the next patch destination, and the final
+//! of that with work proportional to `|Δ|` plus an `O(n / PAGE_SIZE)`
+//! page-table copy, which is what makes the paper's "small batch
+//! updates are cheap" headline hold end-to-end (the `update_bench`
+//! binary tracks the ratio). In steady state a lock-free step performs
+//! **zero O(n) allocations**: ranks stay in place (the previous batch's
+//! output *is* this batch's warm start), flags reset by epoch, the next
+//! snapshot shares every page the batch does not touch, and the final
 //! ranks are exposed by reference ([`ranks`](UpdateSession::ranks))
 //! instead of a terminal `to_vec`.
 //!
@@ -62,7 +62,8 @@ use crate::rank::{AtomicRanks, EpochFlags, MarkBitmap};
 use crate::result::RunStatus;
 use lfpr_graph::types::Result as GraphResult;
 use lfpr_graph::{
-    BatchUpdate, DynGraph, GappedGraph, NeighborRuns, PrevRuns, SlackStats, Snapshot,
+    out_degrees, BatchUpdate, DynGraph, GappedGraph, NeighborRuns, PrevRuns, SlackStats, Snapshot,
+    WithDegrees,
 };
 use lfpr_sched::chunks::ChunkCursor;
 use lfpr_sched::rounds::RoundCursors;
@@ -397,6 +398,17 @@ pub fn top_k_ascending(k: usize, items: impl IntoIterator<Item = (u32, f64)>) ->
         .collect()
 }
 
+/// Apply `batch`'s out-degree changes (one per edge, at its source) to
+/// a dense degree array.
+fn patch_degrees(degrees: &mut [u32], batch: &BatchUpdate) {
+    for &(u, _) in &batch.deletions {
+        degrees[u as usize] -= 1;
+    }
+    for &(u, _) in &batch.insertions {
+        degrees[u as usize] += 1;
+    }
+}
+
 /// Reusable per-session buffers — allocated once, recycled every batch.
 struct Workspace {
     /// Shared in-place rank vector; the previous step's output is the
@@ -474,6 +486,10 @@ struct SecondaryView {
 /// ```
 pub struct UpdateSession {
     graph: DynGraph,
+    /// Out-degree of every vertex of `graph`, kept current by every
+    /// commit in O(|Δ|): the kernels read degrees from here, not from
+    /// the snapshot's pages ([`WithDegrees`]).
+    degrees: Vec<u32>,
     /// Which mutable representation commits run against.
     layout: StorageLayout,
     /// The gap-aware store (present iff `layout == Gapped`), kept in
@@ -499,8 +515,8 @@ pub struct UpdateSession {
     /// publication then allocates nothing.
     spare_ranks: Option<Arc<[f64]>>,
     /// The view the last publish displaced while a reader still held
-    /// it. The next step retries its retirement once, before the splice
-    /// that wants its snapshot buffers, and then lets it go.
+    /// it. The next step retries once to take its rank buffer into
+    /// `spare_ranks`, and then lets it go.
     displaced: Option<Arc<RankView>>,
     /// Whether steps record per-vertex rank deltas (off by default —
     /// tracking keeps an n-entry shadow per ranking and diffs it after
@@ -520,18 +536,16 @@ pub struct UpdateSession {
 /// Which mutable representation an [`UpdateSession`] commits batches
 /// against.
 ///
-/// `Packed` is the seed behavior: every batch splices the cached packed
-/// CSR (O(n + m) bulk copy per commit) and the kernels run on packed
-/// snapshots. `Gapped` commits into a [`GappedGraph`] with run-local
-/// O(deg) mutations, the kernels iterate the gapped runs directly, and a
-/// packed snapshot is only materialized when a reader actually needs one
-/// (publication, checkpointing) — one splice settling any number of
-/// deferred batches. Single-thread runs are bit-identical across layouts
-/// for all eight variants (the gapped runs preserve neighbor order, hence
-/// float accumulation order).
+/// `Packed` commits each batch to the paged snapshot copy-on-write (only
+/// the touched pages are rebuilt) and runs the kernels on snapshots.
+/// `Gapped` also commits into a [`GappedGraph`] with run-local O(deg)
+/// mutations and runs the kernels on the gapped runs; the paged snapshot
+/// is still derived per batch, for readers and checkpoints. Single-thread
+/// runs are bit-identical across layouts for all eight variants (the
+/// gapped runs preserve neighbor order, hence float accumulation order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageLayout {
-    /// Packed CSR spliced per batch (the proptested oracle).
+    /// Paged snapshots only (the proptested oracle).
     #[default]
     Packed,
     /// Gap-aware runs with per-vertex slack (O(|Δ|) commits).
@@ -571,7 +585,7 @@ impl UpdateSession {
         } else {
             Algorithm::StaticBB
         };
-        let initial = api::run_static(static_algo, &snapshot, &opts);
+        let initial = api::run_static(static_algo, &*snapshot, &opts);
         let ws = Workspace::new(&initial.ranks, &opts);
         let last = StepStats {
             status: initial.status,
@@ -587,6 +601,7 @@ impl UpdateSession {
         };
         // Epoch 0: the initial static ranks. `initial.ranks` moves into
         // the published buffer, so the first publication is free.
+        let degrees = out_degrees(&*snapshot);
         let view = RankView {
             snapshot,
             ranks: Arc::from(initial.ranks),
@@ -595,6 +610,7 @@ impl UpdateSession {
             views: Arc::from(Vec::new()),
         };
         UpdateSession {
+            degrees,
             graph,
             layout: StorageLayout::Packed,
             gapped: None,
@@ -628,26 +644,19 @@ impl UpdateSession {
     }
 
     /// Switch the mutable storage layout. Entering `Gapped` mirrors the
-    /// current snapshot into the gap-aware store (O(n + m), once) and
-    /// turns on lazy packed-snapshot maintenance; returning to `Packed`
-    /// settles any deferred delta and drops the store. Ranks and epoch
-    /// are untouched — the layout only changes how commits are applied.
+    /// current snapshot into the gap-aware store (O(n + m), once);
+    /// returning to `Packed` drops the store. Ranks and epoch are
+    /// untouched — the layout only changes how commits are applied.
     pub fn set_storage_layout(&mut self, layout: StorageLayout) {
         if layout == self.layout {
             return;
         }
-        match layout {
+        self.gapped = match layout {
             StorageLayout::Gapped => {
-                let snapshot = self.graph.snapshot_shared();
-                self.gapped = Some(GappedGraph::from_snapshot(&snapshot));
-                self.graph.set_lazy(true);
+                Some(GappedGraph::from_snapshot(&self.graph.snapshot_shared()))
             }
-            StorageLayout::Packed => {
-                self.gapped = None;
-                self.graph.set_lazy(false);
-                let _ = self.graph.snapshot_shared(); // settle pending delta
-            }
-        }
+            StorageLayout::Packed => None,
+        };
         self.layout = layout;
     }
 
@@ -687,6 +696,7 @@ impl UpdateSession {
         }
         let opts = opts.precompile_vertex_plan(&snapshot);
         let ws = Workspace::new(ranks, &opts);
+        let degrees = out_degrees(&*snapshot);
         let view = RankView {
             snapshot,
             ranks: Arc::from(ranks),
@@ -695,6 +705,7 @@ impl UpdateSession {
             views: Arc::from(Vec::new()),
         };
         Ok(UpdateSession {
+            degrees,
             graph,
             layout: StorageLayout::Packed,
             gapped: None,
@@ -798,8 +809,7 @@ impl UpdateSession {
     /// Unconditionally publish `(snapshot, ranks, epoch = steps)`.
     fn publish(&mut self) {
         let n = self.ws.ranks.len();
-        // SAFETY: see `ranks` — `&mut self` rules out concurrent writers.
-        let ranks: &[f64] = unsafe { self.ws.ranks.as_f64_slice_unchecked() };
+        let ranks: &[f64] = self.ws.ranks.as_f64_slice();
         let buf: Arc<[f64]> = match self.spare_ranks.take() {
             // Reuse the retired buffer when every reader released it
             // (unique Arc) and the vertex count still matches.
@@ -816,12 +826,11 @@ impl UpdateSession {
         // served sessions, which accept the O(n) copy per view.
         let named: Vec<PublishedNamedView> = self
             .views
-            .iter()
+            .iter_mut()
             .map(|v| PublishedNamedView {
                 name: Arc::clone(&v.name),
                 sources: v.sources,
-                // SAFETY: see `ranks` — `&mut self` rules out writers.
-                ranks: Arc::from(unsafe { v.ranks.as_f64_slice_unchecked() }),
+                ranks: Arc::from(v.ranks.as_f64_slice()),
                 deltas: Arc::clone(&v.deltas),
                 teleport: v.opts.teleport.clone(),
             })
@@ -839,31 +848,26 @@ impl UpdateSession {
         };
         self.published_step = self.steps;
         self.published_stale = false;
-        // Retire the displaced view's buffers for the next publish: the
-        // rank buffer becomes the next copy destination and the pre-batch
-        // snapshot goes back to the graph's recycler (while a view holds
-        // it, `step`'s own recycle attempt necessarily fails). If a
-        // reader still holds the view, everything stays frozen with it
-        // and the next step retries once (`retry_displaced`).
+        // The displaced view's rank buffer becomes the next copy
+        // destination. If a reader still holds the view, the buffer
+        // stays frozen with it and the next step retries once
+        // (`retry_displaced`). Its snapshot needs no recycling: the next
+        // one shares every untouched page with it.
         match Arc::try_unwrap(old) {
-            Ok(old) => self.retire(old),
+            Ok(old) => self.spare_ranks = Some(old.ranks),
             Err(held) => self.displaced = Some(held),
         }
     }
 
-    fn retire(&mut self, view: RankView) {
-        self.spare_ranks = Some(view.ranks);
-        self.graph.recycle_snapshot(view.snapshot);
-    }
-
-    /// Retire the view the last publish displaced if its readers have
-    /// released it since; otherwise drop this session's reference, so
-    /// the view lives only as long as they hold it. A reader that holds
-    /// views from one commit to the next (the sharded router keeps the
-    /// views its last exchange solved against) then still recycles.
+    /// Take the rank buffer of the view the last publish displaced if
+    /// its readers have released it since; otherwise drop this session's
+    /// reference, so the view lives only as long as they hold it. A
+    /// reader that holds views from one commit to the next (the sharded
+    /// router keeps the views its last exchange solved against) then
+    /// still recycles.
     fn retry_displaced(&mut self) {
         if let Some(view) = self.displaced.take().and_then(Arc::into_inner) {
-            self.retire(view);
+            self.spare_ranks = Some(view.ranks);
         }
     }
 
@@ -949,7 +953,7 @@ impl UpdateSession {
         } else {
             Algorithm::StaticBB
         };
-        let initial = api::run_static(static_algo, &snapshot, &opts);
+        let initial = api::run_static(static_algo, &*snapshot, &opts);
         self.views.push(SecondaryView {
             name: Arc::from(name),
             sources,
@@ -995,8 +999,10 @@ impl UpdateSession {
 
     /// Current ranks of a named view (`None` if unknown).
     pub fn view_ranks(&self, name: &str) -> Option<&[f64]> {
-        // SAFETY: see `ranks` — view ranks have the same single-writer
-        // discipline (only written inside `&mut self` methods).
+        // SAFETY: as in `ranks`: a view's ranks are written only inside
+        // methods taking `&mut self`, whose worker teams have joined
+        // before they return, so no writer can run while `&self` (and
+        // with it this slice) is borrowed.
         self.find_view(name)
             .map(|v| unsafe { v.ranks.as_f64_slice_unchecked() })
     }
@@ -1049,7 +1055,7 @@ impl UpdateSession {
     }
 
     /// The coherent snapshot of the current graph (cache hit after the
-    /// first call; kept up to date incrementally by `step`).
+    /// first call; kept up to date copy-on-write by `step`).
     pub fn snapshot(&mut self) -> Arc<Snapshot> {
         self.graph.snapshot_shared()
     }
@@ -1064,16 +1070,20 @@ impl UpdateSession {
         let t_total = Instant::now();
         let prev = self.graph.snapshot_shared();
         let t_snap = Instant::now();
-        self.graph.apply_batch(batch)?; // validates, then patches the cache
-                                        // The defensive arm in `apply_batch` drops the cache instead of
-                                        // installing a bad patch; report honestly when that forces the
-                                        // next line into a full rebuild.
+        // Validates, then patches the cache. Its defensive arm drops the
+        // cache instead of installing a bad patch; report honestly when
+        // that forces the next line into a full rebuild.
+        self.graph.apply_batch(batch)?;
+        patch_degrees(&mut self.degrees, batch);
         let incremental = self.graph.cached_snapshot().is_some();
         let curr = self.graph.snapshot_shared();
         let snapshot_time = t_snap.elapsed();
-        let (engine, affected) = self.run_kernel(&prev, &curr, batch);
-        drop(curr);
-        self.graph.recycle_snapshot(prev);
+        // Lend the degrees out for the kernel borrow; `run_kernel` needs
+        // `&mut self` for the workspace.
+        let degrees = std::mem::take(&mut self.degrees);
+        let (engine, affected) =
+            self.run_kernel(&*prev, &WithDegrees::new(&*curr, &degrees), batch);
+        self.degrees = degrees;
         let stats = self.finish(
             engine,
             affected,
@@ -1086,19 +1096,18 @@ impl UpdateSession {
         Ok(stats)
     }
 
-    /// The gapped commit path: no packed snapshot is taken or spliced.
-    /// "prev" is just the recorded pre-batch out-runs of the batch's
-    /// sources ([`PrevRuns`]) — the only pre-batch state the dynamic
-    /// kernels consult — and the kernels iterate the gapped store
-    /// directly, so the whole commit is O(|Δ|) + affected-proportional
-    /// kernel work. The packed cache accrues the delta lazily and is
-    /// spliced once per publication (and only if a reader exists).
+    /// The gapped commit path: "prev" is just the recorded pre-batch
+    /// out-runs of the batch's sources ([`PrevRuns`]) — the only
+    /// pre-batch state the dynamic kernels consult — and the kernels
+    /// iterate the gapped store directly. The paged snapshot readers see
+    /// is derived copy-on-write alongside.
     fn step_gapped(&mut self, batch: &BatchUpdate) -> GraphResult<StepStats> {
         let t_total = Instant::now();
         let t_snap = Instant::now();
         let gapped_ref = self.gapped.as_ref().expect("layout is Gapped");
         let prev = PrevRuns::record(gapped_ref, batch.sources());
-        self.graph.apply_batch(batch)?; // validates; lazy mode skips the splice
+        self.graph.apply_batch(batch)?; // validates, then patches the cache
+        patch_degrees(&mut self.degrees, batch);
         self.gapped
             .as_mut()
             .expect("layout is Gapped")
@@ -1127,15 +1136,17 @@ impl UpdateSession {
         let t_snap = Instant::now();
         let incremental = self.graph.reprime_snapshot(&prev, &batch);
         let curr = self.graph.snapshot_shared();
+        // Ad-hoc mutations may have grown the vertex set: recount.
+        let degrees = out_degrees(&*curr);
         let snapshot_time = t_snap.elapsed();
-        let (engine, affected) = self.run_kernel(&prev, &curr, &batch);
+        let (engine, affected) =
+            self.run_kernel(&*prev, &WithDegrees::new(&*curr, &degrees), &batch);
+        self.degrees = degrees;
         if self.layout == StorageLayout::Gapped {
             // Ad-hoc mutations (grow, isolate) bypass the gapped store;
             // re-mirror it from the settled snapshot.
             self.gapped = Some(GappedGraph::from_snapshot(&curr));
         }
-        drop(curr);
-        self.graph.recycle_snapshot(prev);
         let stats = self.finish(
             engine,
             affected,
@@ -1238,10 +1249,7 @@ impl UpdateSession {
         // rank.
         let sparse = matches!(self.algorithm, Algorithm::DtLF | Algorithm::DfLF);
         if track {
-            // SAFETY: see `ranks` — `&mut self` rules out writers.
-            sync_shadow(&mut self.shadow, unsafe {
-                self.ws.ranks.as_f64_slice_unchecked()
-            });
+            sync_shadow(&mut self.shadow, self.ws.ranks.as_f64_slice());
         }
         let result = Self::kernel_pass(
             self.algorithm,
@@ -1255,7 +1263,7 @@ impl UpdateSession {
         if track {
             self.last_deltas = diff_into_shadow(
                 &mut self.shadow,
-                unsafe { self.ws.ranks.as_f64_slice_unchecked() },
+                self.ws.ranks.as_f64_slice(),
                 sparse.then_some(&self.ws.va),
             );
         }
@@ -1264,10 +1272,7 @@ impl UpdateSession {
             // flags advance inside the pass, the cursors rewind here.
             self.ws.rounds.as_mut().expect("prepared above").reset();
             if track {
-                // SAFETY: see `ranks` — `&mut self` rules out writers.
-                sync_shadow(&mut view.shadow, unsafe {
-                    view.ranks.as_f64_slice_unchecked()
-                });
+                sync_shadow(&mut view.shadow, view.ranks.as_f64_slice());
             }
             let _ = Self::kernel_pass(
                 self.algorithm,
@@ -1281,7 +1286,7 @@ impl UpdateSession {
             if track {
                 view.deltas = diff_into_shadow(
                     &mut view.shadow,
-                    unsafe { view.ranks.as_f64_slice_unchecked() },
+                    view.ranks.as_f64_slice(),
                     sparse.then_some(&self.ws.va),
                 );
             }
@@ -1496,8 +1501,8 @@ mod tests {
 
     #[test]
     fn gapped_session_publishes_correct_packed_views() {
-        // Publication must settle the lazy delta: the RankView snapshot a
-        // reader sees matches a full rebuild of the current graph.
+        // The RankView snapshot a reader sees matches a full rebuild of
+        // the current graph.
         let mut s = session(Algorithm::DfLF);
         s.set_storage_layout(StorageLayout::Gapped);
         let reader = s.reader();

@@ -4,19 +4,7 @@
 //! ids. Offsets are `usize` so graphs with more than 4 G edges are
 //! representable, while neighbor ids stay `u32` (paper §5.1.2).
 
-use crate::types::{Edge, GraphError, Result, VertexId};
-
-/// A per-vertex adjacency edit for [`Csr::splice_into`]: sorted,
-/// deduplicated neighbor ids to remove from and add to one vertex's run.
-#[derive(Debug, Clone, Copy)]
-pub struct RunPatch<'a> {
-    /// The vertex whose adjacency run changes.
-    pub vertex: VertexId,
-    /// Neighbors to remove (must be present), ascending.
-    pub del: &'a [VertexId],
-    /// Neighbors to add (must be absent after deletions), ascending.
-    pub add: &'a [VertexId],
-}
+use crate::types::{Edge, VertexId};
 
 /// Immutable CSR adjacency: `targets[offsets[v]..offsets[v+1]]` are the
 /// neighbors of `v`, sorted ascending.
@@ -138,68 +126,6 @@ impl Csr {
         Csr { offsets, targets }
     }
 
-    /// Rebuild this CSR with per-vertex run edits applied, writing into
-    /// `dst`'s buffers (cleared and reused — no allocation once their
-    /// capacity covers the result). `patches` must be sorted by vertex
-    /// with at most one entry per vertex.
-    ///
-    /// Untouched vertices are copied in bulk (one `extend_from_slice`
-    /// per gap between touched vertices), so the per-edge work is
-    /// proportional to the patched runs while the rest is a bandwidth-
-    /// bound memcpy — this is the incremental path behind
-    /// [`Snapshot::apply_batch`](crate::snapshot::Snapshot::apply_batch).
-    ///
-    /// Errors with [`GraphError::MissingEdge`] /
-    /// [`GraphError::DuplicateEdge`] (edge reported as
-    /// `(run_vertex, neighbor)`) if a patch does not match this CSR;
-    /// `dst` holds garbage in that case and must not be read.
-    pub fn splice_into(&self, patches: &[RunPatch<'_>], dst: &mut Csr) -> Result<()> {
-        debug_assert!(patches.windows(2).all(|w| w[0].vertex < w[1].vertex));
-        let n = self.num_vertices();
-        let delta: isize = patches
-            .iter()
-            .map(|p| p.add.len() as isize - p.del.len() as isize)
-            .sum();
-        let new_m = (self.targets.len() as isize + delta) as usize;
-        dst.offsets.clear();
-        dst.offsets.reserve(n + 1);
-        dst.targets.clear();
-        dst.targets.reserve(new_m);
-        let mut shift: isize = 0;
-        let mut from = 0usize; // next source vertex not yet emitted
-        for p in patches {
-            let v = p.vertex as usize;
-            debug_assert!(v < n, "patched vertex {v} out of range");
-            // Bulk-emit the untouched span [from, v).
-            for w in from..v {
-                dst.offsets
-                    .push((self.offsets[w] as isize + shift) as usize);
-            }
-            dst.targets
-                .extend_from_slice(&self.targets[self.offsets[from]..self.offsets[v]]);
-            // Merge the touched run.
-            dst.offsets.push(dst.targets.len());
-            merge_run(
-                p.vertex,
-                self.neighbors(p.vertex),
-                p.del,
-                p.add,
-                &mut dst.targets,
-            )?;
-            shift += p.add.len() as isize - p.del.len() as isize;
-            from = v + 1;
-        }
-        for w in from..n {
-            dst.offsets
-                .push((self.offsets[w] as isize + shift) as usize);
-        }
-        dst.targets
-            .extend_from_slice(&self.targets[self.offsets[from]..self.offsets[n]]);
-        dst.offsets.push(dst.targets.len());
-        debug_assert_eq!(dst.targets.len(), new_m);
-        Ok(())
-    }
-
     /// Total bytes of heap memory held by this CSR.
     pub fn heap_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<usize>()
@@ -208,69 +134,13 @@ impl Csr {
 }
 
 impl Default for Csr {
-    /// An empty CSR over zero vertices (splice/patch scratch seed).
+    /// An empty CSR over zero vertices.
     fn default() -> Self {
         Csr {
             offsets: vec![0],
             targets: Vec::new(),
         }
     }
-}
-
-/// Emit `(old \ del) ∪ add` for vertex `v`'s sorted run into `out`,
-/// validating that every deleted neighbor is present and every added
-/// neighbor is absent after deletions (an id in both `del` and `add`
-/// is a delete-then-reinsert and stays present).
-fn merge_run(
-    v: VertexId,
-    old: &[VertexId],
-    del: &[VertexId],
-    add: &[VertexId],
-    out: &mut Vec<VertexId>,
-) -> Result<()> {
-    let (mut i, mut j, mut k) = (0, 0, 0);
-    let mut last_emitted: Option<VertexId> = None;
-    while i < old.len() || k < add.len() {
-        // Next candidate comes from the old run or the additions,
-        // whichever is smaller.
-        let take_old = match (old.get(i), add.get(k)) {
-            (Some(&o), Some(&a)) => o <= a,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => unreachable!(),
-        };
-        if take_old {
-            let o = old[i];
-            i += 1;
-            if j < del.len() && del[j] == o {
-                j += 1; // deleted: skip (a matching add re-emits it below)
-                continue;
-            }
-            if last_emitted == Some(o) {
-                return Err(GraphError::DuplicateEdge((v, o)));
-            }
-            last_emitted = Some(o);
-            out.push(o);
-        } else {
-            let a = add[k];
-            k += 1;
-            // Adding `a` while it survives from the old run is a
-            // duplicate: the tie-break above takes the old entry first,
-            // so that case always manifests as `last_emitted == a` here
-            // (a deleted-then-readded id was skipped by the del arm and
-            // is legitimately re-emitted now).
-            if last_emitted == Some(a) {
-                return Err(GraphError::DuplicateEdge((v, a)));
-            }
-            debug_assert!(i >= old.len() || old[i] > a, "tie-break takes old first");
-            last_emitted = Some(a);
-            out.push(a);
-        }
-    }
-    if j < del.len() {
-        return Err(GraphError::MissingEdge((v, del[j])));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

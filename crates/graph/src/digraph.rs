@@ -12,7 +12,6 @@
 use crate::batch::BatchUpdate;
 use crate::snapshot::Snapshot;
 use crate::types::{Edge, GraphError, Result, VertexId};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A mutable directed graph over a fixed vertex set `0..n`.
@@ -20,38 +19,24 @@ use std::sync::Arc;
 /// The paper assumes no vertex additions/removals (§3.4); the vertex count
 /// is fixed at construction.
 ///
-/// The graph keeps its own CSR snapshot coherent across
+/// The graph keeps its own snapshot coherent across
 /// [`apply_batch`](Self::apply_batch) calls: the first
 /// [`snapshot_shared`](Self::snapshot_shared) builds it in full, and every
-/// subsequent batch patches it incrementally via
-/// [`Snapshot::apply_batch_into`] instead of re-deriving both CSRs and the
-/// transpose from scratch. Ad-hoc single-edge mutations invalidate the
-/// cache (the next `snapshot_shared` rebuilds).
+/// subsequent batch derives the next one copy-on-write via
+/// [`Snapshot::apply_batch`] (only the pages the batch touches are
+/// rebuilt). Ad-hoc single-edge mutations invalidate the cache (the next
+/// `snapshot_shared` rebuilds).
 #[derive(Debug, Clone)]
 pub struct DynGraph {
     out: Vec<Vec<VertexId>>, // sorted
     m: usize,
-    /// Coherent CSR snapshot of the current adjacency, shared with
-    /// readers (rank sessions) via `Arc`.
+    /// Coherent snapshot of the current adjacency, shared with readers
+    /// (rank sessions) via `Arc`.
     cached: Option<Arc<Snapshot>>,
-    /// Buffers of a retired snapshot, recycled as the patch destination
-    /// of the next incremental batch (steady-state: zero allocation).
-    retired: Option<Snapshot>,
-    /// Lazy snapshot maintenance: instead of splicing the cached CSR on
-    /// every batch (O(n + m) bulk copy), accumulate the composed delta
-    /// since the cache was valid and splice once when a snapshot is
-    /// actually requested. This is what makes gapped-store sessions
-    /// O(|Δ|) per commit: with no reader attached, nothing packed is
-    /// rebuilt at all.
-    lazy: bool,
-    /// Composed pending delta relative to `cached` (disjoint sets; a
-    /// deletion cancels a pending insertion and vice versa).
-    pending_del: HashSet<Edge>,
-    pending_ins: HashSet<Edge>,
 }
 
 /// Equality is over the graph itself (adjacency + edge count); the
-/// snapshot cache and recycling scratch are representation details.
+/// snapshot cache is a representation detail.
 impl PartialEq for DynGraph {
     fn eq(&self, other: &Self) -> bool {
         self.m == other.m && self.out == other.out
@@ -67,10 +52,6 @@ impl DynGraph {
             out: vec![Vec::new(); n],
             m: 0,
             cached: None,
-            retired: None,
-            lazy: false,
-            pending_del: HashSet::new(),
-            pending_ins: HashSet::new(),
         }
     }
 
@@ -84,10 +65,6 @@ impl DynGraph {
             out,
             m: edges.len(),
             cached: None,
-            retired: None,
-            lazy: false,
-            pending_del: HashSet::new(),
-            pending_ins: HashSet::new(),
         }
     }
 
@@ -144,25 +121,9 @@ impl DynGraph {
         self.out[u as usize].binary_search(&v).is_ok()
     }
 
-    /// Switch lazy snapshot maintenance on or off. Turning it on defers
-    /// cached-CSR splicing to the next [`snapshot_shared`](Self::snapshot_shared);
-    /// turning it off flushes nothing — the next snapshot request settles
-    /// any pending delta either way.
-    pub fn set_lazy(&mut self, lazy: bool) {
-        self.lazy = lazy;
-    }
-
-    /// Number of composed pending edge changes awaiting the next flush.
-    pub fn pending_len(&self) -> usize {
-        self.pending_del.len() + self.pending_ins.len()
-    }
-
-    /// Drop the cached snapshot and any pending delta (the delta is
-    /// meaningless without the cache it is relative to).
+    /// Drop the cached snapshot.
     fn invalidate(&mut self) {
         self.cached = None;
-        self.pending_del.clear();
-        self.pending_ins.clear();
     }
 
     fn check_vertex(&self, v: VertexId) -> Result<()> {
@@ -250,34 +211,16 @@ impl DynGraph {
     /// **all-or-nothing**. The whole batch is validated up front
     /// ([`validate_batch`](Self::validate_batch)); on error the graph is
     /// left exactly as it was. A coherent cached snapshot is patched
-    /// incrementally (cost ∝ |Δ| plus a bulk copy) rather than dropped.
+    /// copy-on-write (cost ∝ the pages |Δ| touches plus one page-table
+    /// copy) rather than dropped.
     pub fn apply_batch(&mut self, batch: &BatchUpdate) -> Result<()> {
         self.validate_batch(batch)?;
-        if self.lazy && self.cached.is_some() {
-            // Lazy mode: compose the batch into the pending delta instead
-            // of splicing the cached CSR. Validation against the current
-            // adjacency guarantees the composition is consistent: a
-            // deleted edge is either pending-inserted (cancel) or present
-            // in the cache (record), and symmetrically for insertions.
-            for &e in &batch.deletions {
-                if !self.pending_ins.remove(&e) {
-                    self.pending_del.insert(e);
-                }
-            }
-            for &e in &batch.insertions {
-                if !self.pending_del.remove(&e) {
-                    self.pending_ins.insert(e);
-                }
-            }
-        } else if let Some(prev) = self.cached.take() {
+        if let Some(prev) = self.cached.take() {
             // Patch the coherent snapshot first — it describes the
             // pre-batch graph. Validation guarantees the patch cannot
             // fail; the defensive arm drops the cache so the next reader
             // rebuilds.
-            let mut dst = self.retired.take().unwrap_or_default();
-            if prev.apply_batch_into(batch, &mut dst).is_ok() {
-                self.cached = Some(Arc::new(dst));
-            }
+            self.cached = prev.apply_batch(batch).ok().map(Arc::new);
         }
         for &(u, v) in &batch.deletions {
             let pos = self.out[u as usize]
@@ -293,11 +236,9 @@ impl DynGraph {
             self.out[u as usize].insert(pos, v);
             self.m += 1;
         }
-        if self.pending_len() == 0 {
-            if let Some(s) = &self.cached {
-                debug_assert_eq!(s.num_edges(), self.m);
-                debug_assert_eq!(*s.as_ref(), Snapshot::from_adjacency(&self.out));
-            }
+        if let Some(s) = &self.cached {
+            debug_assert_eq!(s.num_edges(), self.m);
+            debug_assert_eq!(*s.as_ref(), Snapshot::from_adjacency(&self.out));
         }
         Ok(())
     }
@@ -356,11 +297,11 @@ impl DynGraph {
             .flat_map(|(u, list)| list.iter().map(move |&v| (u as VertexId, v)))
     }
 
-    /// Take an immutable CSR snapshot (out + in adjacency) by full
-    /// rebuild. This is the `O(n + m)` oracle path; long-running update
-    /// loops should use [`snapshot_shared`](Self::snapshot_shared) +
+    /// Take an immutable snapshot (out + in adjacency) by full rebuild.
+    /// This is the `O(n + m)` oracle path; long-running update loops
+    /// should use [`snapshot_shared`](Self::snapshot_shared) +
     /// [`apply_batch`](Self::apply_batch), which keep a coherent
-    /// snapshot patched incrementally.
+    /// snapshot patched copy-on-write.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot::from_adjacency(&self.out)
     }
@@ -370,9 +311,6 @@ impl DynGraph {
     /// caches. Subsequent [`apply_batch`](Self::apply_batch) calls keep
     /// it up to date incrementally.
     pub fn snapshot_shared(&mut self) -> Arc<Snapshot> {
-        if self.pending_len() > 0 {
-            self.flush_pending();
-        }
         if let Some(s) = &self.cached {
             return Arc::clone(s);
         }
@@ -381,73 +319,25 @@ impl DynGraph {
         s
     }
 
-    /// Settle the composed pending delta into the cached snapshot with a
-    /// single splice (one O(n + m) copy for any number of deferred
-    /// batches). Falls back to a full rebuild if the patch fails.
-    fn flush_pending(&mut self) {
-        let Some(prev) = self.cached.take() else {
-            self.pending_del.clear();
-            self.pending_ins.clear();
-            return; // no base: next snapshot_shared rebuilds in full
-        };
-        let mut batch = BatchUpdate {
-            deletions: self.pending_del.drain().collect(),
-            insertions: self.pending_ins.drain().collect(),
-        };
-        // HashSet iteration order is arbitrary; sort for a deterministic
-        // splice (apply_batch_into sorts its scratch views anyway, but
-        // determinism here keeps behavior reproducible under debugging).
-        batch.deletions.sort_unstable();
-        batch.insertions.sort_unstable();
-        let mut dst = self.retired.take().unwrap_or_default();
-        if prev.apply_batch_into(&batch, &mut dst).is_ok() {
-            debug_assert_eq!(dst, Snapshot::from_adjacency(&self.out));
-            self.cached = Some(Arc::new(dst));
-        }
-    }
-
-    /// The cached coherent snapshot, if one is currently valid (a lazy
-    /// pending delta makes the cache stale until the next flush).
+    /// The cached coherent snapshot, if one is currently valid.
     pub fn cached_snapshot(&self) -> Option<&Arc<Snapshot>> {
-        if self.pending_len() > 0 {
-            None
-        } else {
-            self.cached.as_ref()
-        }
+        self.cached.as_ref()
     }
 
     /// Restore the coherent cache after ad-hoc mutations by patching
     /// `prev` (the snapshot of this graph **before** the mutations) with
-    /// the recorded `batch`, reusing retired buffers. Returns whether
-    /// the patch succeeded *and* reproduces the mutated graph; on
-    /// `false` the cache stays invalid and the next
-    /// [`snapshot_shared`](Self::snapshot_shared) rebuilds in full.
+    /// the recorded `batch`. Returns whether the patch succeeded *and*
+    /// reproduces the mutated graph; on `false` the cache stays invalid
+    /// and the next [`snapshot_shared`](Self::snapshot_shared) rebuilds
+    /// in full.
     pub fn reprime_snapshot(&mut self, prev: &Snapshot, batch: &BatchUpdate) -> bool {
-        self.pending_del.clear();
-        self.pending_ins.clear();
-        let mut dst = self.retired.take().unwrap_or_default();
-        if prev.apply_batch_into(batch, &mut dst).is_err() {
-            return false; // dst is garbage; drop it
-        }
-        if dst.num_vertices() != self.num_vertices() || dst.num_edges() != self.m {
-            self.retired = Some(dst); // valid buffers, wrong graph
-            return false;
-        }
-        debug_assert_eq!(dst, Snapshot::from_adjacency(&self.out));
-        self.cached = Some(Arc::new(dst));
-        true
-    }
-
-    /// Hand back a retired snapshot `Arc` (typically the pre-batch
-    /// snapshot once a rank update no longer needs it). If this was the
-    /// last reference, its buffers are kept and reused as the patch
-    /// destination of the next incremental [`apply_batch`](Self::apply_batch),
-    /// making the steady-state snapshot refresh allocation-free.
-    pub fn recycle_snapshot(&mut self, snapshot: Arc<Snapshot>) {
-        if self.retired.is_none() {
-            if let Ok(s) = Arc::try_unwrap(snapshot) {
-                self.retired = Some(s);
+        match prev.apply_batch(batch) {
+            Ok(s) if s.num_vertices() == self.num_vertices() && s.num_edges() == self.m => {
+                debug_assert_eq!(s, Snapshot::from_adjacency(&self.out));
+                self.cached = Some(Arc::new(s));
+                true
             }
+            _ => false,
         }
     }
 }
@@ -675,63 +565,24 @@ mod tests {
     }
 
     #[test]
-    fn recycled_snapshot_buffers_are_reused() {
+    fn retired_snapshots_keep_their_pages() {
         let mut g = triangle();
         let s0 = g.snapshot_shared();
+        let before = (*s0).clone();
         g.apply_batch(&BatchUpdate::insert_only(vec![(0, 2)]))
             .unwrap();
-        // s0 is now retired; hand it back for buffer reuse.
-        g.recycle_snapshot(s0);
-        assert!(g.retired.is_some());
-        g.apply_batch(&BatchUpdate::delete_only(vec![(0, 2)]))
-            .unwrap();
-        assert!(g.retired.is_none(), "scratch consumed by the next patch");
-        assert_eq!(*g.snapshot_shared(), g.snapshot());
-    }
-
-    #[test]
-    fn lazy_mode_defers_splices_and_flushes_once() {
-        let mut g = triangle();
-        g.set_lazy(true);
-        let s0 = g.snapshot_shared();
-        // Two batches, including a cancel pair: delete (2,0) then
-        // reinsert it — the composed delta is insert-only.
         g.apply_batch(&BatchUpdate::delete_only(vec![(2, 0)]))
             .unwrap();
-        assert!(g.cached_snapshot().is_none(), "cache stale while pending");
-        assert_eq!(g.pending_len(), 1);
-        g.apply_batch(&BatchUpdate {
-            deletions: vec![(0, 1)],
-            insertions: vec![(2, 0), (0, 2)],
-        })
-        .unwrap();
-        assert_eq!(g.pending_len(), 2, "delete/reinsert of (2,0) cancelled");
+        // A snapshot pinned across later batches still describes its own
+        // epoch; the cache tracks the graph.
+        assert_eq!(*s0, before);
+        assert_eq!(*g.snapshot_shared(), g.snapshot());
+        // Invalid batches leave the cache as it was.
         let s1 = g.snapshot_shared();
-        assert!(!Arc::ptr_eq(&s0, &s1));
-        assert_eq!(*s1, g.snapshot(), "flushed snapshot ≡ full rebuild");
-        assert_eq!(g.pending_len(), 0);
-        assert!(g.cached_snapshot().is_some());
-    }
-
-    #[test]
-    fn lazy_pending_survives_failed_batches_and_adhoc_invalidation() {
-        let mut g = triangle();
-        g.set_lazy(true);
-        let _s0 = g.snapshot_shared();
-        g.apply_batch(&BatchUpdate::insert_only(vec![(0, 2)]))
-            .unwrap();
-        let before = g.clone();
-        // Invalid batch: all-or-nothing, pending delta untouched.
         assert!(g
             .apply_batch(&BatchUpdate::insert_only(vec![(0, 2)]))
             .is_err());
-        assert_eq!(g, before);
-        assert_eq!(g.pending_len(), 1);
-        // Ad-hoc mutation drops cache and pending together.
-        g.insert_edge(1, 0).unwrap();
-        assert_eq!(g.pending_len(), 0);
-        assert!(g.cached_snapshot().is_none());
-        assert_eq!(*g.snapshot_shared(), g.snapshot());
+        assert!(Arc::ptr_eq(&s1, &g.snapshot_shared()));
     }
 
     #[test]

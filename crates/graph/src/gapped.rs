@@ -1,16 +1,15 @@
 //! Gap-aware CSR storage: run-local edge mutations in O(deg) instead of
-//! O(n + m) splices.
+//! page rebuilds.
 //!
-//! `Snapshot::apply_batch` produces a fresh packed CSR by bulk-copying
-//! every untouched span, so a |Δ|=100 batch over a 100k-vertex graph pays
-//! a memcpy of the whole edge array — a bandwidth-bound O(n+m) floor the
-//! paper's O(|Δ|)-work claim is supposed to avoid. [`GappedCsr`] is the
-//! packed-memory-array answer: neighbor runs keep **per-vertex slack**, so
-//! an insert is a binary search plus a shift of one run's tail, and a
-//! delete closes up one run. When a run's slack is exhausted, only its
-//! **granule** (64 consecutive vertices, matching the session's active
-//! chunk filter) is rebuilt with fresh slack — amortized granule-local
-//! rebalancing, never a whole-array splice.
+//! `Snapshot::apply_batch` shares every untouched page with the previous
+//! snapshot but rebuilds each touched page in full — `PAGE_SIZE` runs
+//! copied per edited run, plus one page-table copy per direction.
+//! [`GappedCsr`] is the mutable, packed-memory-array alternative:
+//! neighbor runs keep **per-vertex slack**, so an insert is a binary
+//! search plus a shift of one run's tail, and a delete closes up one
+//! run. When a run's slack is exhausted, only its **granule** (64
+//! consecutive vertices, matching the session's active chunk filter) is
+//! rebuilt with fresh slack — amortized granule-local rebalancing.
 //!
 //! Layout per granule:
 //!
@@ -21,7 +20,7 @@
 //!
 //! Runs stay sorted ascending and contiguous, so `neighbors(v)` is a plain
 //! slice — the lock-free kernels iterate it in exactly the same order as
-//! the packed CSR, which keeps single-thread runs bit-identical (float
+//! the paged snapshot, which keeps single-thread runs bit-identical (float
 //! accumulation order is preserved).
 //!
 //! [`GappedGraph`] pairs an out-direction and an in-direction `GappedCsr`
@@ -33,7 +32,6 @@
 use std::collections::HashMap;
 
 use crate::batch::BatchUpdate;
-use crate::csr::Csr;
 use crate::runs::NeighborRuns;
 use crate::snapshot::Snapshot;
 use crate::types::{GraphError, Result, VertexId};
@@ -192,30 +190,30 @@ impl GappedCsr {
         }
     }
 
-    /// Build from a packed CSR, giving every run its slack up front.
-    pub fn from_csr(csr: &Csr) -> Self {
-        let n = csr.num_vertices();
+    /// Build over `n` vertices from each vertex's sorted run, giving
+    /// every run its slack up front.
+    pub fn from_runs<'r>(n: usize, run: impl Fn(VertexId) -> &'r [VertexId]) -> Self {
         let mut out = GappedCsr::new(n);
         for (gi, granule) in out.granules.iter_mut().enumerate() {
             let base = gi * GRANULE;
             let count = granule.count as usize;
             for local in 0..count {
-                granule.len[local] = csr.degree((base + local) as VertexId) as u32;
+                granule.len[local] = run((base + local) as VertexId).len() as u32;
             }
             // One rebuild call lays out correct slack; then fill runs.
             granule.buf.clear();
             let mut start = [0u32; GRANULE];
             for (local, s) in start.iter_mut().enumerate().take(count) {
                 *s = granule.buf.len() as u32;
-                let run = csr.neighbors((base + local) as VertexId);
+                let run = run((base + local) as VertexId);
                 granule.buf.extend_from_slice(run);
                 granule
                     .buf
                     .resize(granule.buf.len() + slack_for(run.len()), 0);
+                out.m += run.len();
             }
             granule.start = start;
         }
-        out.m = csr.num_edges();
         out
     }
 
@@ -293,7 +291,7 @@ impl GappedCsr {
 /// the dense out-degree array the pull kernels divide by.
 ///
 /// This is the *mutable* representation an `UpdateSession` in gapped mode
-/// commits against; the packed [`Snapshot`] remains the publication
+/// commits against; the paged [`Snapshot`] remains the publication
 /// format and the proptested oracle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GappedGraph {
@@ -303,12 +301,13 @@ pub struct GappedGraph {
 }
 
 impl GappedGraph {
-    /// Mirror a packed snapshot into gapped layout. O(n + m), paid once
-    /// at session start (and after ad-hoc structural mutations).
+    /// Mirror a snapshot into gapped layout. O(n + m), paid once at
+    /// session start (and after ad-hoc structural mutations).
     pub fn from_snapshot(s: &Snapshot) -> Self {
+        let n = s.num_vertices();
         GappedGraph {
-            out: GappedCsr::from_csr(s.out_csr()),
-            inn: GappedCsr::from_csr(s.in_csr()),
+            out: GappedCsr::from_runs(n, |v| s.out(v)),
+            inn: GappedCsr::from_runs(n, |v| s.in_(v)),
             out_degree: (0..s.num_vertices() as VertexId)
                 .map(|v| s.out_degree(v))
                 .collect(),
@@ -349,7 +348,7 @@ impl GappedGraph {
         }
     }
 
-    /// Materialize a packed snapshot (oracle/equality checks in tests).
+    /// Materialize a snapshot (oracle/equality checks in tests).
     pub fn to_snapshot(&self) -> Snapshot {
         let adj: Vec<Vec<VertexId>> = (0..self.out.num_vertices() as VertexId)
             .map(|v| self.out.neighbors(v).to_vec())
@@ -399,7 +398,7 @@ impl NeighborRuns for GappedGraph {
 /// of the batch's source vertices, recorded *before* the mutable store
 /// applies the batch. Everything else the DT/DF/ND kernels read comes
 /// from the post-batch graph, so this sliver is all of "prev" a gapped
-/// session needs — no packed prev snapshot, no O(n+m) copy.
+/// session needs — no prev snapshot, no O(n+m) copy.
 #[derive(Debug, Clone)]
 pub struct PrevRuns {
     n: usize,

@@ -3,9 +3,10 @@
 //! This crate provides everything the PageRank algorithms in `lfpr-core`
 //! need from a graph system, built from scratch:
 //!
-//! * an immutable **CSR snapshot** ([`Snapshot`]) with both out- and
-//!   in-adjacency plus cached out-degrees (pull-style PageRank iterates over
-//!   in-edges and divides by the source's out-degree),
+//! * an immutable **paged CSR snapshot** ([`Snapshot`]) with both out- and
+//!   in-adjacency (pull-style PageRank iterates over in-edges and divides
+//!   by the source's out-degree), derived copy-on-write per batch so a
+//!   commit rebuilds only the pages it touches,
 //! * a **mutable dynamic graph** ([`DynGraph`]) supporting batch edge
 //!   insertions and deletions, from which read-only snapshots are taken —
 //!   the paper (§3.4) assumes interleaved update/compute phases over
@@ -52,6 +53,6 @@ pub use gapped::{GappedGraph, PrevRuns, SlackStats};
 pub use io::GraphFormat;
 pub use partition::{Partition, PartitionStrategy};
 pub use reorder::{ReorderStrategy, Reordering};
-pub use runs::NeighborRuns;
+pub use runs::{out_degrees, NeighborRuns, WithDegrees};
 pub use snapshot::Snapshot;
 pub use types::{Edge, VertexId};

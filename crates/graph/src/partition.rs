@@ -191,7 +191,6 @@ impl Partition {
     /// exchange corrections enter the shard's pull kernel.
     pub fn shard_graph(&self, g: &DynGraph, s: usize) -> DynGraph {
         let mut sg = DynGraph::new(self.n);
-        sg.set_lazy(true);
         for u in self.owned_range(s) {
             for &v in g.out_neighbors(u) {
                 sg.insert_edge(u, v).expect("edge from source graph");

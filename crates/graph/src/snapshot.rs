@@ -1,31 +1,259 @@
-//! Immutable CSR snapshots consumed by the PageRank algorithms.
+//! Immutable paged CSR snapshots consumed by the PageRank algorithms.
 //!
 //! A [`Snapshot`] is a frozen view of a [`DynGraph`](crate::digraph::DynGraph)
 //! holding both out-adjacency (for frontier expansion: marking
 //! out-neighbors as affected) and in-adjacency (for the pull-style rank
 //! computation `R[v] = (1-α)/n + α · Σ R[u]/outdeg(u)` over `u ∈ in(v)`).
-//! Out-degrees are cached in a dense array because every in-edge visit
-//! divides by the source's out-degree.
+//!
+//! ## Pages
+//!
+//! Each direction is stored in **pages** of [`PAGE_SIZE`] consecutive
+//! vertices (the last page may be partial). A page is one immutable
+//! `Arc<[u32]>` allocation laid out as
+//!
+//! ```text
+//! [ o_0, o_1, …, o_c | run(base) run(base+1) … run(base+c-1) ]
+//! ```
+//!
+//! where `c` is the page's vertex count and `o_l` is the absolute index
+//! of vertex `base + l`'s run inside the same allocation (`o_0 = c + 1`,
+//! `o_c` = the allocation's length). A snapshot is a table of such pages
+//! per direction. `out(v)`/`in_(v)` cost one page-table load and two
+//! offset loads, and `out_degree(v)` is the difference of two adjacent
+//! offsets. The rank kernels, which read one out-degree per in-edge,
+//! take theirs from a dense array instead
+//! ([`WithDegrees`](crate::runs::WithDegrees)).
+//!
+//! [`Snapshot::apply_batch`] is **copy-on-write**: it clones the two page
+//! tables (bumping one reference count per page) and rebuilds only the
+//! pages whose runs the batch edits. A commit therefore costs
+//! `O(n / PAGE_SIZE + Σ touched pages)` instead of `O(n + m)`, and every
+//! older snapshot still pinned by a reader keeps its own pages for as
+//! long as it lives. Pages are never written after construction.
 //!
 //! Snapshots are `Sync` and are shared by reference across worker threads.
 
 use crate::batch::BatchUpdate;
-use crate::csr::{Csr, RunPatch};
+use crate::csr::Csr;
 use crate::types::{Edge, GraphError, Result, VertexId};
+use std::ops::Range;
+use std::sync::Arc;
 
-/// Frozen directed graph with out- and in-CSR plus cached out-degrees.
+/// `log2` of [`PAGE_SIZE`].
+const PAGE_SHIFT: u32 = 8;
+
+/// Vertices per adjacency page. A multiple of 64, so every 64-vertex
+/// granule of the affected-set bitmap and of the shard exchange lies
+/// inside one page.
+pub const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+
+const PAGE_MASK: usize = PAGE_SIZE - 1;
+
+/// The runs of one page, resolved once for repeated lookups of the
+/// vertices it holds (see [`Snapshot::out_page`]).
+#[derive(Debug, Clone, Copy)]
+pub struct PageRuns<'a> {
+    words: &'a [VertexId],
+}
+
+impl<'a> PageRuns<'a> {
+    /// The sorted run of `v`, which must lie in this page (another
+    /// vertex reads a wrong run or panics; it never reads out of bounds).
+    #[inline]
+    pub fn run(self, v: VertexId) -> &'a [VertexId] {
+        let l = v as usize & PAGE_MASK;
+        let o = &self.words[l..l + 2];
+        &self.words[o[0] as usize..o[1] as usize]
+    }
+
+    /// Length of `v`'s run (same precondition as [`run`](Self::run)).
+    #[inline]
+    pub fn degree(self, v: VertexId) -> u32 {
+        let l = v as usize & PAGE_MASK;
+        let o = &self.words[l..l + 2];
+        o[1] - o[0]
+    }
+}
+
+/// One adjacency direction as a table of shared pages.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Paged {
+    pages: Vec<Arc<[VertexId]>>,
+}
+
+/// Vertex ids `[base, end)` held by page `p` of an `n`-vertex table.
+#[inline]
+fn page_span(p: usize, n: usize) -> Range<usize> {
+    let base = p << PAGE_SHIFT;
+    base..(base + PAGE_SIZE).min(n)
+}
+
+/// Page `old` (first vertex `base`) with the runs of `group` (sorted,
+/// all inside the page) merged, laid out in `scratch`. The spans between
+/// patched runs are copied in bulk, their offsets shifted by the length
+/// the runs before them gained or lost.
+fn patch_page(
+    old: &[VertexId],
+    base: usize,
+    group: &[RunPatch<'_>],
+    scratch: &mut Vec<VertexId>,
+) -> Result<Arc<[VertexId]>> {
+    let count = old[0] as usize - 1;
+    scratch.clear();
+    scratch.extend_from_slice(&old[..=count]);
+    let mut shift = 0i64;
+    let mut from = 0; // first vertex (page-local) not yet emitted
+    let copy = |scratch: &mut Vec<VertexId>, from: usize, to: usize, shift: i64| {
+        for (h, &o) in scratch[from..=to].iter_mut().zip(&old[from..=to]) {
+            *h = word((i64::from(o) + shift) as usize);
+        }
+        scratch.extend_from_slice(&old[old[from] as usize..old[to] as usize]);
+    };
+    for patch in group {
+        let l = patch.vertex as usize - base;
+        copy(scratch, from, l, shift);
+        let run = &old[old[l] as usize..old[l + 1] as usize];
+        merge_run(patch.vertex, run, patch.del, patch.add, scratch)?;
+        shift += patch.add.len() as i64 - patch.del.len() as i64;
+        from = l + 1;
+    }
+    copy(scratch, from, count, shift);
+    debug_assert_eq!(scratch[count] as usize, scratch.len());
+    Ok(Arc::from(&scratch[..]))
+}
+
+/// A page-local offset as a stored word.
+#[inline]
+fn word(i: usize) -> VertexId {
+    VertexId::try_from(i).expect("adjacency page exceeds 2^32 words")
+}
+
+impl Paged {
+    /// Pages over `n` vertices whose runs come from `run(v)`.
+    fn from_runs<'r>(n: usize, run: impl Fn(usize) -> &'r [VertexId]) -> Paged {
+        let mut scratch = Vec::new();
+        let pages = (0..n.div_ceil(PAGE_SIZE))
+            .map(|p| {
+                let span = page_span(p, n);
+                scratch.clear();
+                scratch.resize(span.len() + 1, 0);
+                for (l, v) in span.clone().enumerate() {
+                    scratch[l] = word(scratch.len());
+                    scratch.extend_from_slice(run(v));
+                }
+                scratch[span.len()] = word(scratch.len());
+                Arc::from(&scratch[..])
+            })
+            .collect();
+        Paged { pages }
+    }
+
+    /// The reverse direction of `self` (edge `(u, v)` becomes `(v, u)`).
+    /// Source-major traversal emits every reversed run already sorted.
+    fn transpose(&self, n: usize) -> Paged {
+        let mut cursor = vec![0 as VertexId; n];
+        for (_, run) in self.runs(0..n) {
+            for &v in run {
+                cursor[v as usize] += 1;
+            }
+        }
+        // Lay out each page's header from the in-degrees, then turn the
+        // per-vertex counts into write cursors.
+        let mut bufs: Vec<Vec<VertexId>> = (0..self.pages.len())
+            .map(|p| {
+                let span = page_span(p, n);
+                let mut buf = vec![0; span.len() + 1];
+                let mut at = span.len() + 1;
+                for (l, v) in span.clone().enumerate() {
+                    buf[l] = word(at);
+                    at += cursor[v] as usize;
+                    cursor[v] = buf[l];
+                }
+                buf[span.len()] = word(at);
+                buf.resize(at, 0);
+                buf
+            })
+            .collect();
+        for (u, run) in self.runs(0..n) {
+            for &v in run {
+                let at = &mut cursor[v as usize];
+                bufs[v as usize >> PAGE_SHIFT][*at as usize] = u;
+                *at += 1;
+            }
+        }
+        Paged {
+            pages: bufs.into_iter().map(Arc::from).collect(),
+        }
+    }
+
+    #[inline]
+    fn page(&self, v: VertexId) -> PageRuns<'_> {
+        PageRuns {
+            words: &self.pages[v as usize >> PAGE_SHIFT],
+        }
+    }
+
+    #[inline]
+    fn run(&self, v: VertexId) -> &[VertexId] {
+        self.page(v).run(v)
+    }
+
+    /// Runs of the vertices in `range`, ascending, one page lookup per
+    /// page.
+    fn runs(&self, range: Range<usize>) -> impl Iterator<Item = (VertexId, &[VertexId])> + '_ {
+        let pages = if range.is_empty() {
+            0..0
+        } else {
+            range.start >> PAGE_SHIFT..((range.end - 1) >> PAGE_SHIFT) + 1
+        };
+        pages.flat_map(move |p| {
+            let page = PageRuns {
+                words: &self.pages[p],
+            };
+            let base = p << PAGE_SHIFT;
+            (base.max(range.start)..(base + PAGE_SIZE).min(range.end))
+                .map(move |v| (v as VertexId, page.run(v as VertexId)))
+        })
+    }
+
+    /// A copy of this table with `patches` applied: untouched pages are
+    /// shared, every page holding a patched vertex is rebuilt.
+    fn patched(&self, patches: &[RunPatch<'_>]) -> Result<Paged> {
+        let mut pages = self.pages.clone();
+        let mut scratch = Vec::new();
+        let mut rest = patches;
+        while let Some(first) = rest.first() {
+            let p = first.vertex as usize >> PAGE_SHIFT;
+            let here = rest
+                .iter()
+                .take_while(|q| q.vertex as usize >> PAGE_SHIFT == p)
+                .count();
+            let (group, tail) = rest.split_at(here);
+            rest = tail;
+            pages[p] = patch_page(&self.pages[p], p << PAGE_SHIFT, group, &mut scratch)?;
+        }
+        Ok(Paged { pages })
+    }
+}
+
+/// Frozen directed graph with paged out- and in-adjacency.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
-    out_csr: Csr,
-    in_csr: Csr,
-    out_degree: Vec<u32>,
+    n: usize,
+    m: usize,
+    out: Paged,
+    inn: Paged,
 }
 
 impl Snapshot {
     /// Build from per-vertex sorted out-adjacency lists.
     pub fn from_adjacency(adj: &[Vec<VertexId>]) -> Self {
-        let out_csr = Csr::from_adjacency(adj);
-        Self::from_out_csr(out_csr)
+        debug_assert!(
+            adj.iter().all(|l| l.windows(2).all(|w| w[0] < w[1])),
+            "adjacency must be strictly sorted"
+        );
+        let m = adj.iter().map(Vec::len).sum();
+        Self::from_out(adj.len(), m, Paged::from_runs(adj.len(), |v| &adj[v]))
     }
 
     /// Build from an edge list (sorted or not; duplicates kept).
@@ -33,29 +261,25 @@ impl Snapshot {
         Self::from_out_csr(Csr::from_edges(n, edges))
     }
 
-    /// Build from an existing out-CSR (computes transpose + degrees).
+    /// Build from an existing out-CSR (pages it and derives the
+    /// in-direction).
     pub fn from_out_csr(out_csr: Csr) -> Self {
-        let in_csr = out_csr.transpose();
         let n = out_csr.num_vertices();
-        let mut out_degree = vec![0u32; n];
-        for (v, d) in out_degree.iter_mut().enumerate() {
-            *d = out_csr.degree(v as VertexId) as u32;
-        }
-        Snapshot {
-            out_csr,
-            in_csr,
-            out_degree,
-        }
+        let out = Paged::from_runs(n, |v| out_csr.neighbors(v as VertexId));
+        Self::from_out(n, out_csr.num_edges(), out)
     }
 
-    /// Produce the snapshot of this graph **after** `batch`, patching the
-    /// out-CSR, in-CSR, and out-degree array incrementally instead of
-    /// rebuilding them from adjacency lists.
+    fn from_out(n: usize, m: usize, out: Paged) -> Self {
+        let inn = out.transpose(n);
+        Snapshot { n, m, out, inn }
+    }
+
+    /// Produce the snapshot of this graph **after** `batch`, sharing
+    /// every page the batch does not touch with `self` (module docs).
     ///
-    /// Per-edge work is `O(|Δ| log |Δ| + Σ deg(touched))`; the untouched
-    /// bulk of both CSRs is carried over with a handful of bandwidth-bound
-    /// `memcpy`s (no transpose, no per-run sorting, no pointer-chasing
-    /// over `Vec<Vec<_>>` adjacency) — the delta-snapshot path behind
+    /// Per-edge work is `O(|Δ| log |Δ|)` plus a rebuild of each touched
+    /// page, on top of one `O(n / PAGE_SIZE)` page-table copy per
+    /// direction — the delta-snapshot path behind
     /// [`DynGraph::apply_batch`](crate::digraph::DynGraph::apply_batch)
     /// and `lfpr_core`'s `UpdateSession`. The full rebuild
     /// ([`Snapshot::from_adjacency`]) remains the equality-checked oracle.
@@ -65,17 +289,7 @@ impl Snapshot {
     /// one batch is allowed and nets to "present", matching
     /// `DynGraph::apply_batch`'s deletions-then-insertions order).
     pub fn apply_batch(&self, batch: &BatchUpdate) -> Result<Snapshot> {
-        let mut dst = Snapshot::default();
-        self.apply_batch_into(batch, &mut dst)?;
-        Ok(dst)
-    }
-
-    /// [`Snapshot::apply_batch`] writing into `dst`'s buffers (cleared
-    /// and reused, so a steady-state update loop stops allocating once
-    /// the buffers reach their high-water capacity). On error `dst` is
-    /// garbage and must not be read.
-    pub fn apply_batch_into(&self, batch: &BatchUpdate, dst: &mut Snapshot) -> Result<()> {
-        let n = self.num_vertices();
+        let n = self.n;
         for (u, v) in batch.iter_all() {
             for x in [u, v] {
                 if x as usize >= n {
@@ -104,87 +318,101 @@ impl Snapshot {
         let patches_out = group_patches(&del_f, &del_fn, &ins_f, &ins_fn);
         let patches_in = group_patches(&del_r, &del_rn, &ins_r, &ins_rn);
 
-        self.out_csr.splice_into(&patches_out, &mut dst.out_csr)?;
-        // In-CSR runs are keyed by target, so flip reported edges back
-        // into (source, target) orientation. A coherent snapshot can only
+        let out = self.out.patched(&patches_out)?;
+        // In-runs are keyed by target, so flip reported edges back into
+        // (source, target) orientation. A coherent snapshot can only
         // fail on the out side, but map defensively.
-        self.in_csr
-            .splice_into(&patches_in, &mut dst.in_csr)
-            .map_err(|e| match e {
-                GraphError::MissingEdge((a, b)) => GraphError::MissingEdge((b, a)),
-                GraphError::DuplicateEdge((a, b)) => GraphError::DuplicateEdge((b, a)),
-                other => other,
-            })?;
-        dst.out_degree.clear();
-        dst.out_degree.extend_from_slice(&self.out_degree);
-        for p in &patches_out {
-            let d = &mut dst.out_degree[p.vertex as usize];
-            *d = (*d + p.add.len() as u32) - p.del.len() as u32;
-        }
-        Ok(())
+        let inn = self.inn.patched(&patches_in).map_err(|e| match e {
+            GraphError::MissingEdge((a, b)) => GraphError::MissingEdge((b, a)),
+            GraphError::DuplicateEdge((a, b)) => GraphError::DuplicateEdge((b, a)),
+            other => other,
+        })?;
+        Ok(Snapshot {
+            n,
+            m: self.m + ins_f.len() - del_f.len(),
+            out,
+            inn,
+        })
     }
 
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.out_csr.num_vertices()
+        self.n
     }
 
     /// Number of directed edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.out_csr.num_edges()
+        self.m
     }
 
     /// Out-neighbors of `v` (sorted).
     #[inline]
     pub fn out(&self, v: VertexId) -> &[VertexId] {
-        self.out_csr.neighbors(v)
+        self.out.run(v)
     }
 
     /// In-neighbors of `v` (sorted).
     #[inline]
     pub fn in_(&self, v: VertexId) -> &[VertexId] {
-        self.in_csr.neighbors(v)
+        self.inn.run(v)
     }
 
-    /// Cached out-degree of `v`.
+    /// The out-page holding `v`: resolve it once, then read the runs of
+    /// every vertex in it (`v & !(PAGE_SIZE - 1)` onwards) without
+    /// another page-table load.
+    #[inline]
+    pub fn out_page(&self, v: VertexId) -> PageRuns<'_> {
+        self.out.page(v)
+    }
+
+    /// Out-runs of the vertices in `range`, ascending, resolving each
+    /// page once.
+    pub fn out_runs(
+        &self,
+        range: Range<VertexId>,
+    ) -> impl Iterator<Item = (VertexId, &[VertexId])> + '_ {
+        self.out.runs(range.start as usize..range.end as usize)
+    }
+
+    /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: VertexId) -> u32 {
-        self.out_degree[v as usize]
+        self.out.page(v).degree(v)
     }
 
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: VertexId) -> usize {
-        self.in_csr.degree(v)
+        self.inn.page(v).degree(v) as usize
     }
 
     /// Whether edge `(u, v)` is present.
     #[inline]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.out_csr.has_edge(u, v)
+        self.out(u).binary_search(&v).is_ok()
     }
 
-    /// Underlying out-CSR.
-    pub fn out_csr(&self) -> &Csr {
-        &self.out_csr
-    }
-
-    /// Underlying in-CSR.
-    pub fn in_csr(&self) -> &Csr {
-        &self.in_csr
-    }
-
-    /// Iterate all edges.
-    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.out_csr.edges()
+    /// Iterate all edges in `(source, target)` order.
+    pub fn edges(&self) -> Edges<'_> {
+        Edges {
+            pages: &self.out.pages,
+            words: &[],
+            base: 0,
+            l: 0,
+            at: 0,
+            left: self.m,
+        }
     }
 
     /// Number of dead ends (vertices with out-degree zero). After
     /// self-loop elimination (paper §5.1.3) this must be zero.
     pub fn dead_end_count(&self) -> usize {
-        self.out_degree.iter().filter(|&&d| d == 0).count()
+        self.out
+            .runs(0..self.n)
+            .filter(|(_, run)| run.is_empty())
+            .count()
     }
 
     /// Average out-degree `|E| / |V|` (the `Davg` column of Table 2).
@@ -195,6 +423,68 @@ impl Snapshot {
             self.num_edges() as f64 / self.num_vertices() as f64
         }
     }
+}
+
+/// All edges of a [`Snapshot`] in `(source, target)` order, page by
+/// page; the length is known up front, so collecting allocates once.
+#[derive(Debug, Clone)]
+pub struct Edges<'a> {
+    /// Pages not yet entered.
+    pages: &'a [Arc<[VertexId]>],
+    /// The current page (empty before the first).
+    words: &'a [VertexId],
+    /// First vertex of the current page.
+    base: usize,
+    /// Page-local vertex whose run holds `at`.
+    l: usize,
+    /// Next target word in `words`.
+    at: usize,
+    left: usize,
+}
+
+impl Iterator for Edges<'_> {
+    type Item = Edge;
+
+    fn next(&mut self) -> Option<Edge> {
+        if self.left == 0 {
+            return None;
+        }
+        // Skip finished runs, entering the next page when this one is
+        // exhausted (`words[count] == words.len()`).
+        while self.at == self.words.len() {
+            let (first, rest) = self.pages.split_first().expect("edge count matches pages");
+            self.base += self.words.first().map_or(0, |&o| o as usize - 1);
+            self.words = first;
+            self.pages = rest;
+            self.l = 0;
+            self.at = first[0] as usize;
+        }
+        while self.at == self.words[self.l + 1] as usize {
+            self.l += 1;
+        }
+        let v = self.words[self.at];
+        self.at += 1;
+        self.left -= 1;
+        Some(((self.base + self.l) as VertexId, v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Edges<'_> {}
+
+/// A per-vertex adjacency edit: sorted, deduplicated neighbor ids to
+/// remove from and add to one vertex's run.
+#[derive(Debug, Clone, Copy)]
+struct RunPatch<'a> {
+    /// The vertex whose adjacency run changes.
+    vertex: VertexId,
+    /// Neighbors to remove (must be present), ascending.
+    del: &'a [VertexId],
+    /// Neighbors to add (must be absent after deletions), ascending.
+    add: &'a [VertexId],
 }
 
 /// Merge sorted deletion/insertion edge lists (keyed by first
@@ -230,6 +520,62 @@ fn group_patches<'a>(
         });
     }
     out
+}
+
+/// Emit `(old \ del) ∪ add` for vertex `v`'s sorted run into `out`,
+/// validating that every deleted neighbor is present and every added
+/// neighbor is absent after deletions (an id in both `del` and `add`
+/// is a delete-then-reinsert and stays present).
+fn merge_run(
+    v: VertexId,
+    old: &[VertexId],
+    del: &[VertexId],
+    add: &[VertexId],
+    out: &mut Vec<VertexId>,
+) -> Result<()> {
+    let (mut i, mut j, mut k) = (0, 0, 0);
+    let mut last_emitted: Option<VertexId> = None;
+    while i < old.len() || k < add.len() {
+        // Next candidate comes from the old run or the additions,
+        // whichever is smaller.
+        let take_old = match (old.get(i), add.get(k)) {
+            (Some(&o), Some(&a)) => o <= a,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => unreachable!(),
+        };
+        if take_old {
+            let o = old[i];
+            i += 1;
+            if j < del.len() && del[j] == o {
+                j += 1; // deleted: skip (a matching add re-emits it below)
+                continue;
+            }
+            if last_emitted == Some(o) {
+                return Err(GraphError::DuplicateEdge((v, o)));
+            }
+            last_emitted = Some(o);
+            out.push(o);
+        } else {
+            let a = add[k];
+            k += 1;
+            // Adding `a` while it survives from the old run is a
+            // duplicate: the tie-break above takes the old entry first,
+            // so that case always manifests as `last_emitted == a` here
+            // (a deleted-then-readded id was skipped by the del arm and
+            // is legitimately re-emitted now).
+            if last_emitted == Some(a) {
+                return Err(GraphError::DuplicateEdge((v, a)));
+            }
+            debug_assert!(i >= old.len() || old[i] > a, "tie-break takes old first");
+            last_emitted = Some(a);
+            out.push(a);
+        }
+    }
+    if j < del.len() {
+        return Err(GraphError::MissingEdge((v, del[j])));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -345,21 +691,60 @@ mod tests {
     }
 
     #[test]
-    fn apply_batch_into_reuses_buffers() {
-        let prev = sample();
-        let mut dst = Snapshot::default();
-        prev.apply_batch_into(&BatchUpdate::insert_only(vec![(3, 0)]), &mut dst)
+    fn apply_batch_shares_untouched_pages() {
+        // Three pages, the last one partial; the batch touches the
+        // out-run of a vertex in page 0 and the in-run of one in page 2.
+        let n = 2 * PAGE_SIZE + 7;
+        let edges: Vec<Edge> = (0..n as VertexId).map(|v| (v, v)).collect();
+        let prev = Snapshot::from_edges(n, &edges);
+        let last = (n - 1) as VertexId;
+        let next = prev
+            .apply_batch(&BatchUpdate::insert_only(vec![(3, last)]))
             .unwrap();
-        assert_eq!(dst.num_edges(), 5);
-        // Second patch into the same scratch: previous contents replaced.
-        prev.apply_batch_into(&BatchUpdate::delete_only(vec![(2, 0)]), &mut dst)
-            .unwrap();
-        assert_eq!(dst.num_edges(), 3);
-        assert_eq!(
-            dst,
-            prev.apply_batch(&BatchUpdate::delete_only(vec![(2, 0)]))
-                .unwrap()
-        );
+        let shared = |a: &Paged, b: &Paged, p: usize| Arc::ptr_eq(&a.pages[p], &b.pages[p]);
+        assert!(!shared(&prev.out, &next.out, 0));
+        assert!(shared(&prev.out, &next.out, 1) && shared(&prev.out, &next.out, 2));
+        assert!(shared(&prev.inn, &next.inn, 0) && shared(&prev.inn, &next.inn, 1));
+        assert!(!shared(&prev.inn, &next.inn, 2));
+        // The old snapshot is untouched.
+        assert_eq!(prev.out(3), &[3]);
+        assert_eq!(next.out(3), &[3, last]);
+        assert_eq!(next.in_(last), &[3, last]);
+        assert_eq!(prev.in_(last), &[last]);
+    }
+
+    #[test]
+    fn runs_resolve_pages_across_boundaries() {
+        let n = PAGE_SIZE + 3;
+        let edges: Vec<Edge> = (0..n as VertexId)
+            .map(|v| (v, (v + 1) % n as u32))
+            .collect();
+        let s = Snapshot::from_edges(n, &edges);
+        let lo = PAGE_SIZE as VertexId - 2;
+        let got: Vec<(VertexId, Vec<VertexId>)> = s
+            .out_runs(lo..lo + 4)
+            .map(|(v, r)| (v, r.to_vec()))
+            .collect();
+        let want: Vec<(VertexId, Vec<VertexId>)> =
+            (lo..lo + 4).map(|v| (v, s.out(v).to_vec())).collect();
+        assert_eq!(got, want);
+        assert_eq!(s.out_runs(5..5).count(), 0);
+        let page = s.out_page(PAGE_SIZE as VertexId);
+        assert_eq!(page.run(PAGE_SIZE as VertexId + 2), &[0]);
+        assert_eq!(page.degree(PAGE_SIZE as VertexId + 1), 1);
+        assert_eq!(s.edges().count(), n);
+    }
+
+    #[test]
+    fn edges_walk_every_page_in_order() {
+        // Empty pages at the front and in the middle, a partial last page.
+        let n = 3 * PAGE_SIZE + 5;
+        let p = PAGE_SIZE as VertexId;
+        let edges = vec![(p + 1, 0), (p + 1, 7), (p + 2, 2), (3 * p + 4, 3 * p)];
+        let s = Snapshot::from_edges(n, &edges);
+        assert_eq!(s.edges().len(), edges.len());
+        assert_eq!(s.edges().collect::<Vec<_>>(), edges);
+        assert_eq!(Snapshot::from_edges(n, &[]).edges().next(), None);
     }
 
     #[test]

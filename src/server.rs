@@ -21,8 +21,8 @@
 //!   outcome, and an eventfd wakeup resumes it — no polling anywhere.
 //!   Per wakeup the writer drains *every* queued request and coalesces
 //!   the commits into one merged batch ([`coalesce_batches`]): one
-//!   trial-validation per client batch, then a single gapped-store
-//!   splice, rank refresh, WAL append + fsync, and feed frame for the
+//!   trial-validation per client batch, then a single snapshot
+//!   commit, rank refresh, WAL append + fsync, and feed frame for the
 //!   whole round. Each accepted client is acked with the merged epoch;
 //!   a rejected sub-batch is erred back to its own client (its staged
 //!   edits restored) without poisoning the others.
@@ -1000,7 +1000,7 @@ fn writer_loop(
         if coalesce {
             // Everything queued while the previous round was applying
             // lands in this one — under commit pressure, k clients cost
-            // one splice + one refresh + one fsync instead of k.
+            // one snapshot commit + one refresh + one fsync instead of k.
             while let Ok(more) = rx.try_recv() {
                 round.push(more);
             }

@@ -126,7 +126,10 @@ const PUSH_TOL: f64 = 1e-16;
 
 /// Ids per flag of the exchange sweeps' skip map: a sweep passes over a
 /// granule whole while nothing has pushed into it since its last walk.
+/// A granule never straddles two snapshot pages, so a sweep resolves one
+/// page per granule it walks.
 const GRANULE: usize = 64;
+const _: () = assert!(lfpr_graph::snapshot::PAGE_SIZE % GRANULE == 0);
 
 /// Construction-time knobs for a [`ShardRouter`].
 #[derive(Debug, Clone)]
@@ -195,8 +198,9 @@ pub struct ShardRouter {
     /// every [`pin`](Self::pin) reads exactly this.
     published: RwLock<Arc<Exchanged>>,
     /// Serializes exchange passes (each pins its own views), so the
-    /// published views only ever move forward.
-    exchange_lock: Mutex<()>,
+    /// published views only ever move forward, and holds the passes'
+    /// residual scratch (n entries, zeroed in place by each pass).
+    exchange_lock: Mutex<Vec<f64>>,
     /// Live count of edges crossing the partition, maintained from the
     /// scattered sub-batches so that it never under-reads the shards'
     /// latest views (`commit`). While it is zero the exchange pass skips
@@ -282,7 +286,7 @@ impl ShardRouter {
                 views: Vec::new(),
                 corr: None,
             })),
-            exchange_lock: Mutex::new(()),
+            exchange_lock: Mutex::new(vec![0.0; n]),
             crossing: AtomicI64::new(crossing),
         };
         router.exchange();
@@ -475,14 +479,14 @@ impl ShardRouter {
     /// every sweep but the last pushes at least once, it runs no more
     /// sweeps than that plus one.
     pub fn exchange(&self) -> usize {
-        let _serialize = self.exchange_lock.lock().expect("exchange lock poisoned");
+        let mut res = self.exchange_lock.lock().expect("exchange lock poisoned");
         let views: Vec<Arc<RankView>> = self.shards.iter().map(|s| s.reader.view()).collect();
-        self.solve(views)
+        self.solve(views, &mut res)
     }
 
     /// The exchange pass proper, against `views` pinned under the
-    /// exchange lock.
-    fn solve(&self, views: Vec<Arc<RankView>>) -> usize {
+    /// exchange lock, with the lock's residual scratch `res`.
+    fn solve(&self, views: Vec<Arc<RankView>>, res: &mut [f64]) -> usize {
         // Fast path: while the committed graph has no crossing edges
         // there is nothing to exchange — don't pay the boundary scan.
         // The count never under-reads the latest views (`commit`), but
@@ -509,13 +513,11 @@ impl ShardRouter {
         let n = self.n;
         // res = α·P_cross·r_sh + α·P·c_prev − c_prev, scattered along
         // every owned out-edge.
-        let mut res = vec![0.0f64; n];
+        res.fill(0.0);
         for (s, view) in views.iter().enumerate() {
-            let snap = view.snapshot();
             let ranks = view.ranks();
             let owned = self.part.owned_range(s);
-            for u in owned.clone() {
-                let outs = snap.out(u);
+            for (u, outs) in view.snapshot().out_runs(owned.clone()) {
                 if outs.is_empty() {
                     continue;
                 }
@@ -569,6 +571,7 @@ impl ShardRouter {
                     }
                     // A granule another shard shares is walked every
                     // sweep and its flag left set for that shard.
+                    let page = snap.out_page(start as u32);
                     for v in start.max(lo)..end.min(hi) {
                         let r = res[v];
                         if r.abs() <= PUSH_TOL {
@@ -577,7 +580,7 @@ impl ShardRouter {
                         res[v] = 0.0;
                         corr[v] += r;
                         pushes += 1;
-                        let outs = snap.out(v as u32);
+                        let outs = page.run(v as u32);
                         if outs.is_empty() {
                             continue;
                         }
@@ -1248,7 +1251,7 @@ mod tests {
             ShardRouter::new(ring_graph(8), Algorithm::DfLF, opts(), ShardSpec::new(2)).unwrap();
         let pinned_by_a: Vec<Arc<RankView>> =
             router.shards.iter().map(|s| s.reader.view()).collect();
-        let pass_a = router.exchange_lock.lock().unwrap();
+        let mut pass_a = router.exchange_lock.lock().unwrap();
         thread::scope(|scope| {
             let b = scope.spawn(|| {
                 let mut batch = BatchUpdate::new();
@@ -1259,7 +1262,10 @@ mod tests {
             while router.crossing.load(Ordering::Acquire) != 0 {
                 thread::yield_now();
             }
-            assert!(router.solve(pinned_by_a) > 0, "A took the fast path");
+            assert!(
+                router.solve(pinned_by_a, &mut pass_a) > 0,
+                "A took the fast path"
+            );
             let pin = router.pin();
             assert_eq!(pin.epochs(), vec![0, 0]);
             assert_pushed_to_tolerance(&router, &pin);
