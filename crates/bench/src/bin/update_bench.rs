@@ -17,6 +17,10 @@
 //! L∞ < 1e-9 otherwise — the incremental path is equality-checked
 //! against the full-rebuild oracle, not just faster.
 //!
+//! After every batch the session's `top_k(10)`, which reads only the
+//! rank blocks its block-max index admits, is also timed against a full
+//! scan of the same ranks, and the two lists must be equal.
+//!
 //! The incremental pipeline runs *first* each step, handing the CPU
 //! cache advantage to the baseline — the reported speedup is
 //! conservative. Acceptance target (ISSUE 4): ≥ 2× at |Δ| = 100 on a
@@ -27,6 +31,7 @@
 //!   [--layout packed|gapped] [--json path] [--require x]`
 
 use lfpr_core::norm::linf_diff;
+use lfpr_core::topk::top_k_ascending;
 use lfpr_core::{api, Algorithm, PagerankOptions, StorageLayout, UpdateSession};
 use lfpr_graph::generators::{erdos_renyi, grid_road, kmer_chain};
 use lfpr_graph::selfloops::add_self_loops;
@@ -93,6 +98,9 @@ fn parse_args() -> Args {
     a
 }
 
+/// The list length timed after every step (a served `topk` read's).
+const TOP_K: usize = 10;
+
 struct StepRow {
     batch_len: usize,
     iters: usize,
@@ -102,6 +110,8 @@ struct StepRow {
     incr_s: f64,
     incr_snapshot_s: f64,
     incr_kernel_s: f64,
+    topk_index_s: f64,
+    topk_scan_s: f64,
     max_diff: f64,
 }
 
@@ -210,6 +220,18 @@ fn main() {
             d
         };
 
+        let t = Instant::now();
+        let indexed = session.top_k(TOP_K);
+        let topk_index_s = t.elapsed().as_secs_f64();
+        let t = Instant::now();
+        let ranks = session.ranks().iter().enumerate();
+        let scanned = top_k_ascending(TOP_K, ranks.map(|(v, &r)| (v as u32, r)));
+        let topk_scan_s = t.elapsed().as_secs_f64();
+        if indexed != scanned {
+            eprintln!("step {step}: indexed top-{TOP_K} {indexed:?} != full scan {scanned:?}");
+            std::process::exit(1);
+        }
+
         let row = StepRow {
             batch_len: batch.len(),
             iters: stats.iterations,
@@ -219,6 +241,8 @@ fn main() {
             incr_s,
             incr_snapshot_s: stats.snapshot_time.as_secs_f64(),
             incr_kernel_s: stats.runtime.as_secs_f64(),
+            topk_index_s,
+            topk_scan_s,
             max_diff,
         };
         let warm = if step < args.warmup { " (warmup)" } else { "" };
@@ -245,6 +269,12 @@ fn main() {
     let mean_incr = mean(rows.iter().map(|r| r.incr_s));
     let speedup = mean_full / mean_incr.max(1e-12);
     let worst_diff = rows.iter().map(|r| r.max_diff).fold(0.0f64, f64::max);
+    let mean_index = mean(rows.iter().map(|r| r.topk_index_s));
+    let mean_scan = mean(rows.iter().map(|r| r.topk_scan_s));
+    println!(
+        "mean top-{TOP_K}: block index {mean_index:.6}s vs full scan {mean_scan:.6}s → {:.1}x",
+        mean_scan / mean_index.max(1e-12)
+    );
     println!(
         "\nmean per-batch latency: full {:.6}s vs incremental {:.6}s → {:.2}x speedup \
          (equality: {})",
@@ -317,8 +347,16 @@ fn render_json(
         .map(|r| {
             format!(
                 "    {{\"batch\": {}, \"full_s\": {:.9}, \"incr_s\": {:.9}, \
-                 \"incr_snapshot_s\": {:.9}, \"incr_kernel_s\": {:.9}, \"linf\": {:.3e}}}",
-                r.batch_len, r.full_s, r.incr_s, r.incr_snapshot_s, r.incr_kernel_s, r.max_diff
+                 \"incr_snapshot_s\": {:.9}, \"incr_kernel_s\": {:.9}, \
+                 \"topk_index_s\": {:.9}, \"topk_scan_s\": {:.9}, \"linf\": {:.3e}}}",
+                r.batch_len,
+                r.full_s,
+                r.incr_s,
+                r.incr_snapshot_s,
+                r.incr_kernel_s,
+                r.topk_index_s,
+                r.topk_scan_s,
+                r.max_diff
             )
         })
         .collect();

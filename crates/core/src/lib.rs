@@ -65,6 +65,7 @@ pub mod result;
 pub mod session;
 pub mod static_bb;
 pub mod static_lf;
+pub mod topk;
 pub mod vertex_dynamics;
 
 pub use api::Algorithm;

@@ -409,12 +409,14 @@ impl MarkBitmap {
     }
 
     /// Every set bit, ascending (`Relaxed`; exclusive or post-run use).
+    /// One load per summary word and one per marked leaf word, whose
+    /// bits are then peeled off locally.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let mut pos = 0;
-        std::iter::from_fn(move || {
-            let v = self.next_set(pos, self.len)?;
-            pos = v + 1;
-            Some(v)
+        self.summary.iter().enumerate().flat_map(move |(si, s)| {
+            set_bits(s.load(Ordering::Relaxed)).flat_map(move |b| {
+                let w = si * WORD + b;
+                set_bits(self.leaves[w].load(Ordering::Relaxed)).map(move |i| w * WORD + i)
+            })
         })
     }
 
@@ -445,6 +447,17 @@ impl MarkBitmap {
             .resize_with(words.div_ceil(WORD), || AtomicU64::new(0));
         self.len = n;
     }
+}
+
+/// The positions of the set bits of `word`, ascending.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
 }
 
 /// An 8-bit shared flag vector (`VA`, `C`, `RC` in the paper).

@@ -60,6 +60,7 @@ use crate::lf_common::{
 };
 use crate::rank::{AtomicRanks, EpochFlags, MarkBitmap};
 use crate::result::RunStatus;
+use crate::topk::{top_k_blocks, BlockMax};
 use lfpr_graph::types::Result as GraphResult;
 use lfpr_graph::{
     out_degrees, BatchUpdate, DynGraph, GappedGraph, NeighborRuns, PrevRuns, SlackStats, Snapshot,
@@ -161,17 +162,25 @@ fn sync_shadow(shadow: &mut Vec<f64>, ranks: &[f64]) {
     }
 }
 
-/// Top-`k` deltas by |change| descending, ties by vertex id ascending.
+/// Top-`k` deltas by |change| descending, ties by vertex id ascending:
+/// an `O(|D|)` selection of the `k` best, then a sort of those `k` only.
 fn top_movers_of(deltas: &[RankDelta], k: usize) -> Vec<RankDelta> {
-    let mut d = deltas.to_vec();
-    d.sort_unstable_by(|a, b| {
+    let order = |a: &RankDelta, b: &RankDelta| {
         b.delta()
             .abs()
             .partial_cmp(&a.delta().abs())
             .unwrap()
             .then(a.vertex.cmp(&b.vertex))
-    });
-    d.truncate(k);
+    };
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut d = deltas.to_vec();
+    if k < d.len() {
+        d.select_nth_unstable_by(k - 1, order);
+        d.truncate(k);
+    }
+    d.sort_unstable_by(order);
     d
 }
 
@@ -181,6 +190,8 @@ struct PublishedNamedView {
     name: Arc<str>,
     sources: usize,
     ranks: Arc<[f64]>,
+    /// Block maxima of `ranks` (see [`crate::topk`]).
+    maxima: Arc<[f64]>,
     deltas: Arc<[RankDelta]>,
     /// The view's restart distribution, frozen so readers (checkpoint
     /// writers, the replica feed) can reconstruct the view exactly
@@ -195,11 +206,15 @@ struct PublishedNamedView {
 /// many batches the writer has applied since. Holding a view never
 /// blocks the writer; it only keeps this epoch's buffers alive. When
 /// the session hosts named ranking views ([`UpdateSession::add_view`])
-/// or delta tracking, those are frozen into the view too.
+/// or delta tracking, those are frozen into the view too. Each ranking
+/// carries the maxima of its [`PAGE_SIZE`](lfpr_graph::snapshot::PAGE_SIZE)-vertex
+/// blocks, so top-k reads skip the blocks that cannot contribute.
 #[derive(Debug, Clone)]
 pub struct RankView {
     snapshot: Arc<Snapshot>,
     ranks: Arc<[f64]>,
+    /// Block maxima of `ranks` (see [`crate::topk`]).
+    maxima: Arc<[f64]>,
     epoch: u64,
     deltas: Arc<[RankDelta]>,
     views: Arc<[PublishedNamedView]>,
@@ -230,9 +245,10 @@ impl RankView {
     }
 
     /// The `k` highest-ranked vertices of this epoch, descending (ties
-    /// broken by vertex id).
+    /// broken by vertex id). Reads only the blocks whose maximum can
+    /// place (`O(n / PAGE_SIZE + k · PAGE_SIZE)`).
     pub fn top_k(&self, k: usize) -> Vec<(u32, f64)> {
-        top_k_of(&self.ranks, k)
+        self.top_k_range(k, 0..u32::MAX)
     }
 
     /// [`top_k`](Self::top_k) restricted to vertex ids in `range`. The
@@ -240,7 +256,7 @@ impl RankView {
     /// shard's candidates must come from its owned id range only — the
     /// shard-local ranks of vertices it does not own are partial sums.
     pub fn top_k_range(&self, k: usize, range: std::ops::Range<u32>) -> Vec<(u32, f64)> {
-        top_k_range_of(&self.ranks, k, range)
+        top_k_blocks(&self.ranks, &self.maxima, k, range)
     }
 
     /// Every vertex whose rank moved across the step that produced this
@@ -280,7 +296,8 @@ impl RankView {
 
     /// Top-`k` of a named view (`None` if the view is unknown).
     pub fn top_k_in(&self, name: &str, k: usize) -> Option<Vec<(u32, f64)>> {
-        self.named(name).map(|nv| top_k_of(&nv.ranks, k))
+        self.named(name)
+            .map(|nv| top_k_blocks(&nv.ranks, &nv.maxima, k, 0..u32::MAX))
     }
 
     /// Biggest movers of a named view (`None` if the view is unknown).
@@ -331,71 +348,6 @@ impl RankReader {
     pub fn epoch(&self) -> u64 {
         self.view().epoch
     }
-}
-
-/// Shared top-k selection (session + views).
-fn top_k_of(ranks: &[f64], k: usize) -> Vec<(u32, f64)> {
-    top_k_range_of(ranks, k, 0..ranks.len() as u32)
-}
-
-/// [`top_k_of`] over an id sub-range (the sharded router's per-shard
-/// candidate selection). Same comparator, so merging range results
-/// reproduces the whole-vector ordering exactly.
-fn top_k_range_of(ranks: &[f64], k: usize, range: std::ops::Range<u32>) -> Vec<(u32, f64)> {
-    let hi = (ranks.len() as u32).min(range.end);
-    let lo = range.start.min(hi);
-    top_k_ascending(k, (lo..hi).map(|v| (v, ranks[v as usize])))
-}
-
-/// A top-k candidate ordered best-first: rank descending, then id
-/// ascending (the order every top-k list in the crate uses).
-#[derive(PartialEq)]
-struct Ranked(u32, f64);
-
-impl Eq for Ranked {}
-
-impl Ord for Ranked {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .1
-            .partial_cmp(&self.1)
-            .unwrap()
-            .then(self.0.cmp(&other.0))
-    }
-}
-
-impl PartialOrd for Ranked {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The `k` best `(id, rank)` pairs — rank descending, ties by id — of a
-/// sequence whose ids **ascend**, in one pass without materializing it.
-///
-/// A max-heap keeps the worst of the best `k` on top. Because ids
-/// ascend, a newcomer whose rank equals the current k-th would lose the
-/// id tie-break, so only a strictly higher rank displaces it, and the
-/// result equals sorting the whole sequence and keeping `k`. Past the
-/// first `k` items, an item costs one comparison unless it enters the
-/// list (`O(n + m log k)` for `m` entries).
-pub fn top_k_ascending(k: usize, items: impl IntoIterator<Item = (u32, f64)>) -> Vec<(u32, f64)> {
-    let mut items = items.into_iter();
-    let mut best: std::collections::BinaryHeap<Ranked> =
-        items.by_ref().take(k).map(|(v, r)| Ranked(v, r)).collect();
-    // Fewer than k items leave `items` drained, so the loop is a no-op.
-    if let Some(mut kth) = best.peek().map(|w| w.1) {
-        for (v, r) in items {
-            if r > kth {
-                *best.peek_mut().expect("k > 0") = Ranked(v, r);
-                kth = best.peek().expect("k > 0").1;
-            }
-        }
-    }
-    best.into_sorted_vec()
-        .into_iter()
-        .map(|Ranked(v, r)| (v, r))
-        .collect()
 }
 
 /// Apply `batch`'s out-degree changes (one per edge, at its source) to
@@ -457,10 +409,23 @@ struct SecondaryView {
     opts: PagerankOptions,
     /// The view's in-place rank vector (its own warm start).
     ranks: AtomicRanks,
+    /// Block maxima of `ranks`, refreshed after every pass.
+    index: BlockMax,
     /// The view's ranks at the previous epoch (delta tracking only).
     shadow: Vec<f64>,
     /// Rank movements of the most recent step (when tracking is on).
     deltas: Arc<[RankDelta]>,
+}
+
+impl SecondaryView {
+    /// The view's current ranks, borrowed from its in-place vector.
+    fn current(&self) -> &[f64] {
+        // SAFETY: as in `UpdateSession::ranks`: a view's ranks are written
+        // only inside session methods taking `&mut self`, whose worker
+        // teams have joined before they return, so no writer can run
+        // while the session (and with it this slice) is borrowed shared.
+        unsafe { self.ranks.as_f64_slice_unchecked() }
+    }
 }
 
 /// A long-running incremental PageRank session over an evolving graph.
@@ -531,6 +496,9 @@ pub struct UpdateSession {
     /// Named secondary ranking views sharing this session's graph and
     /// flag workspace.
     views: Vec<SecondaryView>,
+    /// Block maxima of the default ranking, refreshed after every pass
+    /// (from the `VA` set after a DF/DT pass).
+    index: BlockMax,
 }
 
 /// Which mutable representation an [`UpdateSession`] commits batches
@@ -602,9 +570,11 @@ impl UpdateSession {
         // Epoch 0: the initial static ranks. `initial.ranks` moves into
         // the published buffer, so the first publication is free.
         let degrees = out_degrees(&*snapshot);
+        let index = BlockMax::new(&initial.ranks);
         let view = RankView {
             snapshot,
             ranks: Arc::from(initial.ranks),
+            maxima: Arc::from(index.maxima()),
             epoch: 0,
             deltas: Arc::from(Vec::new()),
             views: Arc::from(Vec::new()),
@@ -628,6 +598,7 @@ impl UpdateSession {
             shadow: Vec::new(),
             last_deltas: Arc::from(Vec::new()),
             views: Vec::new(),
+            index,
         }
     }
 
@@ -697,9 +668,11 @@ impl UpdateSession {
         let opts = opts.precompile_vertex_plan(&snapshot);
         let ws = Workspace::new(ranks, &opts);
         let degrees = out_degrees(&*snapshot);
+        let index = BlockMax::new(ranks);
         let view = RankView {
             snapshot,
             ranks: Arc::from(ranks),
+            maxima: Arc::from(index.maxima()),
             epoch,
             deltas: Arc::from(Vec::new()),
             views: Arc::from(Vec::new()),
@@ -723,6 +696,7 @@ impl UpdateSession {
             shadow: Vec::new(),
             last_deltas: Arc::from(Vec::new()),
             views: Vec::new(),
+            index,
         })
     }
 
@@ -772,6 +746,7 @@ impl UpdateSession {
             sources,
             opts,
             ranks: AtomicRanks::from_slice(ranks),
+            index: BlockMax::new(ranks),
             shadow: Vec::new(),
             deltas: deltas.into(),
         });
@@ -831,6 +806,7 @@ impl UpdateSession {
                 name: Arc::clone(&v.name),
                 sources: v.sources,
                 ranks: Arc::from(v.ranks.as_f64_slice()),
+                maxima: Arc::from(v.index.maxima()),
                 deltas: Arc::clone(&v.deltas),
                 teleport: v.opts.teleport.clone(),
             })
@@ -838,6 +814,7 @@ impl UpdateSession {
         let view = Arc::new(RankView {
             snapshot: self.graph.snapshot_shared(),
             ranks: buf,
+            maxima: Arc::from(self.index.maxima()),
             epoch: self.steps,
             deltas: Arc::clone(&self.last_deltas),
             views: named.into(),
@@ -892,10 +869,10 @@ impl UpdateSession {
     }
 
     /// The `k` highest-ranked vertices, descending (ties broken by
-    /// vertex id). `O(n + k log k)` partial selection — the full
-    /// `O(n log n)` sort only the top slice needs is skipped.
+    /// vertex id). Reads only the blocks whose maximum can place
+    /// (`O(n / PAGE_SIZE + k · PAGE_SIZE)`; see [`crate::topk`]).
     pub fn top_k(&self, k: usize) -> Vec<(u32, f64)> {
-        top_k_of(self.ranks(), k)
+        top_k_blocks(self.ranks(), self.index.maxima(), k, 0..u32::MAX)
     }
 
     /// Turn on per-step rank-delta recording: every subsequent step
@@ -959,6 +936,7 @@ impl UpdateSession {
             sources,
             opts,
             ranks: AtomicRanks::from_slice(&initial.ranks),
+            index: BlockMax::new(&initial.ranks),
             shadow: Vec::new(),
             deltas: Arc::from(Vec::new()),
         });
@@ -999,12 +977,7 @@ impl UpdateSession {
 
     /// Current ranks of a named view (`None` if unknown).
     pub fn view_ranks(&self, name: &str) -> Option<&[f64]> {
-        // SAFETY: as in `ranks`: a view's ranks are written only inside
-        // methods taking `&mut self`, whose worker teams have joined
-        // before they return, so no writer can run while `&self` (and
-        // with it this slice) is borrowed.
-        self.find_view(name)
-            .map(|v| unsafe { v.ranks.as_f64_slice_unchecked() })
+        self.find_view(name).map(SecondaryView::current)
     }
 
     /// Rank of `v` in a named view (`None` if the view is unknown).
@@ -1014,7 +987,8 @@ impl UpdateSession {
 
     /// Top-`k` of a named view (`None` if the view is unknown).
     pub fn view_top_k(&self, name: &str, k: usize) -> Option<Vec<(u32, f64)>> {
-        self.view_ranks(name).map(|r| top_k_of(r, k))
+        self.find_view(name)
+            .map(|v| top_k_blocks(v.current(), v.index.maxima(), k, 0..u32::MAX))
     }
 
     /// Biggest movers of a named view (`None` if the view is unknown).
@@ -1245,8 +1219,8 @@ impl UpdateSession {
         self.prepare_workspace(curr);
         let track = self.track_deltas;
         // A DF/DT pass writes only the ranks of its `VA` set, so the
-        // delta diff can walk that set; every other pass may move any
-        // rank.
+        // delta diff and the block index can walk that set; every other
+        // pass may move any rank.
         let sparse = matches!(self.algorithm, Algorithm::DtLF | Algorithm::DfLF);
         if track {
             sync_shadow(&mut self.shadow, self.ws.ranks.as_f64_slice());
@@ -1260,12 +1234,11 @@ impl UpdateSession {
             curr,
             batch,
         );
+        let written = sparse.then_some(&self.ws.va);
+        self.index.refresh(self.ws.ranks.as_f64_slice(), written);
         if track {
-            self.last_deltas = diff_into_shadow(
-                &mut self.shadow,
-                self.ws.ranks.as_f64_slice(),
-                sparse.then_some(&self.ws.va),
-            );
+            self.last_deltas =
+                diff_into_shadow(&mut self.shadow, self.ws.ranks.as_f64_slice(), written);
         }
         for view in &mut self.views {
             // Each pass needs fresh flag epochs and rewound cursors; the
@@ -1283,12 +1256,11 @@ impl UpdateSession {
                 curr,
                 batch,
             );
+            let written = sparse.then_some(&self.ws.va);
+            view.index.refresh(view.ranks.as_f64_slice(), written);
             if track {
-                view.deltas = diff_into_shadow(
-                    &mut view.shadow,
-                    view.ranks.as_f64_slice(),
-                    sparse.then_some(&self.ws.va),
-                );
+                view.deltas =
+                    diff_into_shadow(&mut view.shadow, view.ranks.as_f64_slice(), written);
             }
         }
         result
@@ -2083,24 +2055,240 @@ mod tests {
                     300..700,
                 ] {
                     assert_eq!(
-                        top_k_range_of(ranks, k, range.clone()),
+                        indexed_top_k(ranks, k, range.clone()),
                         top_k_oracle(ranks, k, range.clone()),
                         "k {k} range {range:?}"
                     );
                 }
-                assert_eq!(top_k_of(ranks, k), top_k_oracle(ranks, k, 0..1000));
+                let whole = indexed_top_k(ranks, k, 0..u32::MAX);
+                assert_eq!(whole, top_k_oracle(ranks, k, 0..1000));
                 // Per-range lists merged by the same comparator (the
                 // shard router's merge) reproduce the whole-vector list.
                 let mut merged: Vec<(u32, f64)> = [0..333, 333..600, 600..1000]
                     .into_iter()
-                    .flat_map(|r| top_k_range_of(ranks, k, r))
+                    .flat_map(|r| indexed_top_k(ranks, k, r))
                     .collect();
                 merged.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
                 merged.truncate(k);
-                assert_eq!(merged, top_k_of(ranks, k), "merged k {k}");
+                assert_eq!(merged, whole, "merged k {k}");
             }
         }
-        assert!(top_k_of(&[], 3).is_empty());
+        assert!(indexed_top_k(&[], 3, 0..u32::MAX).is_empty());
+    }
+
+    /// Top-k through a freshly built block index.
+    fn indexed_top_k(ranks: &[f64], k: usize, range: std::ops::Range<u32>) -> Vec<(u32, f64)> {
+        top_k_blocks(ranks, BlockMax::new(ranks).maxima(), k, range)
+    }
+
+    /// SplitMix64: a tiny deterministic source for randomized cases.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n.max(1) as u64) as usize
+        }
+    }
+
+    #[test]
+    fn block_index_is_exact_under_random_writes() {
+        // Randomized cases: rank vectors with heavy ties (3 values) or
+        // none, vertex counts that leave a partial last block, k at the
+        // block-size edges and past n, and ranges that start and end
+        // mid-block. After every round of sparse writes the refreshed
+        // index must equal a fresh build, and its top-k the sort oracle.
+        let mut rng = Mix(0x5EED);
+        for case in 0..48 {
+            let n = [1, 255, 256, 257, 700, 1_000, 3 * 256 + 17, 5_000][case % 8];
+            let tied = case % 2 == 0;
+            let draw = |rng: &mut Mix| {
+                if tied {
+                    (1 + rng.below(3)) as f64 * 0.25
+                } else {
+                    rng.next() as f64 / u64::MAX as f64
+                }
+            };
+            let mut ranks: Vec<f64> = (0..n).map(|_| draw(&mut rng)).collect();
+            let mut index = BlockMax::new(&ranks);
+            for round in 0..6 {
+                // Write a sparse set; half the writes hit block maxima,
+                // dropping them to the floor or raising them.
+                let written = MarkBitmap::new(n);
+                for _ in 0..1 + rng.below(n / 8 + 1) {
+                    let v = if rng.below(2) == 0 {
+                        index.argmax(rng.below(index.maxima().len()))
+                    } else {
+                        rng.below(n)
+                    };
+                    written.set(v);
+                    ranks[v] = match rng.below(3) {
+                        0 => 0.0,
+                        1 => draw(&mut rng),
+                        _ => 2.0 * draw(&mut rng),
+                    };
+                }
+                index.refresh(&ranks, Some(&written));
+                let what = format!("case {case} n {n} round {round}");
+                assert_eq!(index.maxima(), BlockMax::new(&ranks).maxima(), "{what}");
+                for k in [0, 1, 255, 256, 257, n, n + 5] {
+                    let lo = rng.below(n) as u32;
+                    let hi = lo + rng.below(n + 300) as u32;
+                    for range in [0..u32::MAX, lo..hi, lo..lo] {
+                        assert_eq!(
+                            top_k_blocks(&ranks, index.maxima(), k, range.clone()),
+                            top_k_oracle(&ranks, k, range.clone()),
+                            "{what} k {k} range {range:?}"
+                        );
+                    }
+                }
+            }
+            // A grown vector (or an unmarked pass) rebuilds in full.
+            ranks.push(9.0);
+            index.refresh(&ranks, Some(&MarkBitmap::new(n + 1)));
+            assert_eq!(index.maxima(), BlockMax::new(&ranks).maxima());
+            assert_eq!(
+                top_k_blocks(&ranks, index.maxima(), 1, 0..u32::MAX)[0].0 as usize,
+                n
+            );
+        }
+    }
+
+    /// Every top-k the session and its published view answer, against
+    /// the sort oracle over the same ranks; plus the index itself
+    /// against a fresh build.
+    fn check_top_k(s: &mut UpdateSession, what: &str) -> Arc<RankView> {
+        let view = s.reader().view();
+        assert_eq!(
+            s.index.maxima(),
+            BlockMax::new(s.ranks()).maxima(),
+            "{what}"
+        );
+        for k in [1, 10, 300] {
+            let oracle = top_k_oracle(s.ranks(), k, 0..u32::MAX);
+            assert_eq!(s.top_k(k), oracle, "{what} k {k}");
+            assert_eq!(view.top_k(k), oracle, "{what} k {k}: published");
+            assert_eq!(
+                view.top_k_range(k, 100..2_000),
+                top_k_oracle(s.ranks(), k, 100..2_000),
+                "{what} k {k}: range"
+            );
+            for (name, _) in s.view_names() {
+                let sv = s.find_view(&name).unwrap();
+                assert_eq!(sv.index.maxima(), BlockMax::new(sv.current()).maxima());
+                let oracle = top_k_oracle(sv.current(), k, 0..u32::MAX);
+                assert_eq!(s.view_top_k(&name, k).unwrap(), oracle, "{what} {name}");
+                assert_eq!(view.top_k_in(&name, k).unwrap(), oracle, "{what} {name}");
+            }
+        }
+        view
+    }
+
+    #[test]
+    fn block_index_tracks_commits_views_and_restores() {
+        use lfpr_graph::generators::grid_road;
+        for algo in [
+            Algorithm::DfLF,
+            Algorithm::DtLF,
+            Algorithm::NdLF,
+            Algorithm::DfBB,
+        ] {
+            let mut g = grid_road(3_000, 13);
+            add_self_loops(&mut g);
+            let o = opts().with_threads(2);
+            let mut s = UpdateSession::new(g, algo, o.clone());
+            let t = Teleport::personalized([(5, 1.0), (2_900, 1.0)]).unwrap();
+            // Views held across later commits, with the answers of their
+            // own epoch.
+            type Held = (Arc<RankView>, Vec<(u32, f64)>);
+            let mut held: Vec<Held> = Vec::new();
+            let mut commit = |s: &mut UpdateSession, seed: u64, what: &str| {
+                let batch = BatchSpec::mixed(3e-3, seed).generate(s.graph());
+                s.step(&batch).unwrap();
+                let view = check_top_k(s, &format!("{algo} {what}"));
+                held.push((Arc::clone(&view), view.top_k(10)));
+                for (v, expect) in &held {
+                    assert_eq!(&v.top_k(10), expect, "{algo} {what}: held");
+                    assert_eq!(v.top_k(10), top_k_oracle(v.ranks(), 10, 0..u32::MAX));
+                }
+            };
+            check_top_k(&mut s, &format!("{algo} initial"));
+            commit(&mut s, 1, "step 1");
+            s.add_view("ego", t.clone()).unwrap();
+            check_top_k(&mut s, &format!("{algo} add_view"));
+            commit(&mut s, 2, "step 2");
+            s.add_view("uni", Teleport::Uniform).unwrap();
+            commit(&mut s, 3, "step 3");
+            s.drop_view("uni").unwrap();
+            check_top_k(&mut s, &format!("{algo} drop_view"));
+            commit(&mut s, 4, "step 4");
+            // Vertex growth rebuilds every index.
+            let n = s.graph().num_vertices() as u32;
+            s.step_mutated(|g| {
+                g.grow(n as usize + 300);
+                let mut b = BatchUpdate::new();
+                for e in [(n, n), (n, 7), (n + 299, n + 299), (9, n + 299)] {
+                    g.insert_edge(e.0, e.1).unwrap();
+                    b.insertions.push(e);
+                }
+                b
+            });
+            check_top_k(&mut s, &format!("{algo} grow"));
+            commit(&mut s, 5, "after grow");
+            // A restored session with a restored view.
+            let edges: Vec<_> = s.graph().snapshot().edges().collect();
+            let graph = DynGraph::from_edges(s.graph().num_vertices(), edges).unwrap();
+            let mut rec =
+                UpdateSession::restore(graph, algo, o.clone(), s.ranks(), s.steps()).unwrap();
+            check_top_k(&mut rec, &format!("{algo} restore"));
+            let view_ranks = s.view_ranks("ego").unwrap().to_vec();
+            rec.restore_view("ego", t.clone(), &view_ranks, Vec::new())
+                .unwrap();
+            check_top_k(&mut rec, &format!("{algo} restore_view"));
+            for seed in 6..9 {
+                commit(&mut rec, seed, "restored");
+                commit(&mut s, seed, "live");
+            }
+        }
+    }
+
+    #[test]
+    fn movers_selection_matches_full_sort() {
+        // Heavy |Δ| ties (sign and magnitude), so the id tie-break
+        // decides most places.
+        let mut rng = Mix(7);
+        let mut deltas = Vec::new();
+        for vertex in 0..500u32 {
+            if rng.below(3) != 0 {
+                let sign = if rng.below(2) == 0 { 0.5 } else { -0.5 };
+                let new = 1.0 + (1 + rng.below(4)) as f64 * sign;
+                deltas.push(RankDelta {
+                    vertex,
+                    old: 1.0,
+                    new,
+                });
+            }
+        }
+        let mut sorted = deltas.clone();
+        sorted.sort_by(|a, b| {
+            b.delta()
+                .abs()
+                .partial_cmp(&a.delta().abs())
+                .unwrap()
+                .then(a.vertex.cmp(&b.vertex))
+        });
+        for k in [0, 1, 2, 37, 100, deltas.len() - 1, deltas.len(), 10_000] {
+            let expect = &sorted[..k.min(sorted.len())];
+            assert_eq!(top_movers_of(&deltas, k), expect, "k {k}");
+        }
+        assert!(top_movers_of(&[], 3).is_empty());
     }
 
     #[test]

@@ -48,9 +48,15 @@ mod sys {
         len: usize,
     }
 
-    // The mapping is read-only and exclusively owned; sharing the
-    // underlying bytes across parser threads is exactly its purpose.
+    // SAFETY: a `Mapping` owns its region outright: the pointer is not
+    // shared with any other value, nothing in this module ever writes
+    // through it, and the one `munmap` runs in `drop`, which needs the
+    // value by `&mut`. Moving that ownership to another thread is fine.
     unsafe impl Send for Mapping {}
+    // SAFETY: `&Mapping` only hands out `&[u8]` over `PROT_READ` memory
+    // (`as_slice`), and read-only bytes may be read from any number of
+    // threads at once; sharing them with the parser workers is the
+    // point of the mapping.
     unsafe impl Sync for Mapping {}
 
     impl Mapping {
@@ -58,6 +64,11 @@ mod sys {
         /// (POSIX rejects zero-length mappings).
         pub fn map(file: &File, len: usize) -> io::Result<Mapping> {
             debug_assert!(len > 0);
+            // SAFETY: a null hint lets the kernel choose the address, so
+            // no existing mapping can be replaced; the descriptor is open
+            // for reading and borrowed for the whole call; a zero `len`
+            // only makes the call fail with `EINVAL`, which is checked
+            // below. The mapping stays valid after the `File` closes.
             let ptr = unsafe {
                 mmap(
                     std::ptr::null_mut(),
@@ -75,12 +86,24 @@ mod sys {
         }
 
         pub fn as_slice(&self) -> &[u8] {
+            // SAFETY: `ptr` came from a successful `mmap` of `len` bytes,
+            // so it is non-null and the whole range is one readable
+            // mapping (`len` ≤ `isize::MAX`, or the kernel would have
+            // refused it), and `u8` needs no alignment. The region lives
+            // until `drop`, which cannot run while this borrow of `self`
+            // lasts, and the process never writes it (`PROT_READ`). Like
+            // every mmap-backed reader, this assumes no other process
+            // truncates or rewrites the input file while it is mapped:
+            // the loaders map graph files that are only read.
             unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
         }
     }
 
     impl Drop for Mapping {
         fn drop(&mut self) {
+            // SAFETY: `ptr`/`len` are exactly the region `map` obtained,
+            // unmapped here once; every slice into it borrowed `self`, so
+            // none outlives this call.
             unsafe {
                 munmap(self.ptr, self.len);
             }

@@ -108,7 +108,8 @@ use crate::serve::{
     apply_logged, reply, stage_delete, stage_insert, status_str, translate_request, ServeSummary,
     WriterOk, WriterOp, WriterReply, WriterRequest,
 };
-use lfpr_core::session::{top_k_ascending, RankReader, RankView, UpdateSession};
+use lfpr_core::session::{RankReader, RankView, UpdateSession};
+use lfpr_core::topk::top_k_ascending;
 use lfpr_core::{Algorithm, PagerankOptions, RunStatus};
 use lfpr_graph::reorder::SharedReordering;
 use lfpr_graph::{BatchUpdate, DynGraph, Partition};
@@ -739,6 +740,8 @@ impl ShardPin<'_> {
             let range = self.router.part.owned_range(s);
             match &self.pinned.corr {
                 None => cand.extend(view.top_k_range(k, range)),
+                // The overlay moves ranks without a block bound, so the
+                // corrected ranks are scanned in full.
                 Some(c) => cand.extend(top_k_ascending(
                     k,
                     range.map(|v| (v, view.ranks()[v as usize] + c[v as usize])),
